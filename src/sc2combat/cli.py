@@ -334,6 +334,10 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag in ("trials", "jobs"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except CombatError as exc:

@@ -30,7 +30,7 @@ from .errors import StalemateError
 from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health
 
 # Rounds after which a trial with both armies still standing is declared a
-# stalemate (degenerate zero-DPS input) instead of looping forever.
+# stalemate instead of looping forever on pools too small to ever finish it.
 ROUND_CAP = 10_000
 
 
@@ -47,21 +47,11 @@ class ModelId(enum.Enum):
     APX3 = 3
     APX4 = 4
 
-    @property
-    def ranged_first_round(self) -> bool:
-        """Only ranged units contribute to the opening round's pool."""
-        return self.value >= 2
-
-    @property
-    def bonus_pools(self) -> bool:
-        """Attribute-bonus damage is added to the pools."""
-        return self.value >= 3
-
-    @property
-    def target_policy(self) -> TargetPolicy:
-        if self.value >= 4:
-            return TargetPolicy.MELEE_FIRST
-        return TargetPolicy.UNIFORM_RANDOM
+    def __init__(self, value: int) -> None:
+        self.ranged_first_round = value >= 2  # only ranged units feed round one's pool
+        self.bonus_pools = value >= 3  # attribute-bonus damage joins the pools
+        self.target_policy = (TargetPolicy.MELEE_FIRST if value >= 4
+                              else TargetPolicy.UNIFORM_RANDOM)
 
     @classmethod
     def parse(cls, text: str) -> "ModelId":
@@ -77,13 +67,6 @@ class Winner(enum.Enum):
     DRAW = "draw"
 
 
-@dataclass
-class DamagePool:
-    """Damage points available to one army for one round."""
-
-    remaining: float
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     """Result of one simulated battle."""
@@ -97,12 +80,14 @@ class TrialOutcome:
 class ArmyState:
     """Per-class alive counts for one side, with derived stats cached.
 
-    Mutable and trial-local: the engine decrements counts in place. Use
-    ``fresh()`` to get a reset copy for a new trial.
+    Mutable: the engine decrements ``counts`` in place. A new trial resets
+    ``counts`` to ``initial_counts`` in place, so one state and its tables
+    serve every trial of an experiment.
     """
 
-    __slots__ = ("classes", "counts", "initial_counts",
-                 "eff_health", "eff_dps", "eff_bonus_dps", "ranged")
+    __slots__ = ("classes", "counts", "initial_counts", "eff_health", "eff_dps",
+                 "eff_bonus_dps", "ranged", "melee", "indices",
+                 "_bonus_against", "_bonus_table")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
         if any(count < 0 for _, count in composition):
@@ -114,10 +99,21 @@ class ArmyState:
         self.eff_dps: tuple[float, ...] = tuple(effective_dps(u) for u in self.classes)
         self.eff_bonus_dps: tuple[float, ...] = tuple(effective_bonus_dps(u) for u in self.classes)
         self.ranged: tuple[bool, ...] = tuple(u.ranged for u in self.classes)
+        self.melee: tuple[int, ...] = tuple(i for i, r in enumerate(self.ranged) if not r)
+        self.indices: tuple[int, ...] = tuple(range(len(self.classes)))
+        self._bonus_against, self._bonus_table = None, ()  # see bonus_targets
 
-    def fresh(self) -> "ArmyState":
-        """A new state with counts reset to the initial composition."""
-        return ArmyState(list(zip(self.classes, self.initial_counts)))
+    def bonus_targets(self, defender: "ArmyState") -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(i, js)`` for each class ``i`` with bonus damage, ``js`` being the
+        defender classes it gets bonus damage against. Built once per
+        ``defender.classes`` object, so no attribute test runs per round."""
+        if self._bonus_against is not defender.classes:
+            self._bonus_table = tuple(
+                (i, tuple(j for j, target in enumerate(defender.classes)
+                          if not unit.bonus_vs.isdisjoint(target.attributes)))
+                for i, unit in enumerate(self.classes) if self.eff_bonus_dps[i] != 0.0)
+            self._bonus_against = defender.classes
+        return self._bonus_table
 
     def total_units(self) -> int:
         return sum(self.counts)
@@ -139,83 +135,81 @@ def bonus_pool(attacker: ArmyState, defender: ArmyState, ranged_only: bool) -> f
 
     The fraction is recomputed from current alive counts every round.
     """
-    defenders = defender.total_units()
+    dcounts = defender.counts
+    defenders = sum(dcounts)
     if defenders == 0:
         return 0.0
     total = 0.0
-    for i, count in enumerate(attacker.counts):
-        if count == 0 or attacker.eff_bonus_dps[i] == 0.0:
+    for i, targets in attacker.bonus_targets(defender):
+        count = attacker.counts[i]
+        if count == 0 or (ranged_only and not attacker.ranged[i]):
             continue
-        if ranged_only and not attacker.ranged[i]:
-            continue
-        tags = attacker.classes[i].bonus_vs
-        vulnerable = sum(
-            dcount for j, dcount in enumerate(defender.counts)
-            if dcount and not tags.isdisjoint(defender.classes[j].attributes)
-        )
+        vulnerable = sum([dcounts[j] for j in targets])
         if vulnerable:
             total += count * attacker.eff_bonus_dps[i] * (vulnerable / defenders)
     return total
 
 
 def compute_pool(attacker: ArmyState, defender: ArmyState,
-                 model: ModelId, is_first_round: bool) -> DamagePool:
-    """One round's damage pool for ``attacker``, per the model's rules."""
+                 model: ModelId, is_first_round: bool) -> float:
+    """One round's damage pool for ``attacker``, per the model's rules: the
+    DPS of the contributing classes, then the bonus pool added once."""
     ranged_only = model.ranged_first_round and is_first_round
     total = 0.0
-    for i, count in enumerate(attacker.counts):
-        if count and (not ranged_only or attacker.ranged[i]):
-            total += count * attacker.eff_dps[i]
+    if ranged_only:
+        for count, dps, ranged in zip(attacker.counts, attacker.eff_dps, attacker.ranged):
+            if count and ranged:
+                total += count * dps
+    else:
+        for count, dps in zip(attacker.counts, attacker.eff_dps):
+            if count:
+                total += count * dps
     if model.bonus_pools:
         total += bonus_pool(attacker, defender, ranged_only)
-    return DamagePool(total)
+    return total
 
 
-def _pick_target(defender: ArmyState, policy: TargetPolicy, rng: random.Random) -> int:
-    """Index of the class a randomly selected unit instance belongs to."""
-    counts = defender.counts
-    if policy is TargetPolicy.MELEE_FIRST:
-        eligible = [i for i, c in enumerate(counts) if c and not defender.ranged[i]]
-        if not eligible:
-            eligible = [i for i, c in enumerate(counts) if c]
-    else:
-        eligible = [i for i, c in enumerate(counts) if c]
-    total = sum(counts[i] for i in eligible)
-    pick = rng.random() * total
-    for i in eligible:
-        pick -= counts[i]
-        if pick < 0:
-            return i
-    return eligible[-1]
+def apply_pool(pool: float, defender: ArmyState,
+               policy: TargetPolicy, rng: random.Random) -> float:
+    """Spend a damage pool on the defender, killing units one at a time;
+    returns the damage left over.
 
-
-def apply_pool(pool: DamagePool, defender: ArmyState,
-               policy: TargetPolicy, rng: random.Random) -> None:
-    """Spend a damage pool on the defender, killing units one at a time.
-
+    Each target is one unit instance drawn uniformly from the eligible
+    classes (melee classes first under MELEE_FIRST, while any is alive).
     Killed units are removed immediately and cannot be re-selected; damage
     left over when the defender is wiped out is discarded.
     """
-    remaining = pool.remaining
     counts = defender.counts
-    while remaining > 0:
-        if not any(counts):
-            break
-        i = _pick_target(defender, policy, rng)
-        health = defender.eff_health[i]
-        if remaining >= health:
-            counts[i] -= 1
-            remaining -= health
-        else:
-            if rng.random() < remaining / health:
+    health = defender.eff_health
+    random = rng.random
+    alive = sum(counts)
+    melee = defender.melee if policy is TargetPolicy.MELEE_FIRST else ()
+    melee_alive = sum([counts[i] for i in melee]) if melee else 0
+    while pool > 0 and alive:
+        eligible, total = (melee, melee_alive) if melee_alive else (defender.indices, alive)
+        pick = random() * total
+        for i in eligible:
+            pick -= counts[i]
+            if pick < 0:
+                break
+        else:  # rounding left pick >= 0: the last eligible class
+            i = next(j for j in reversed(eligible) if counts[j])
+        h = health[i]
+        if pool < h:
+            if random() < pool / h:
                 counts[i] -= 1
-            remaining = 0.0
-    pool.remaining = max(remaining, 0.0)
+            return 0.0
+        counts[i] -= 1
+        alive -= 1
+        if melee_alive:
+            melee_alive -= 1
+        pool -= h
+    return pool if pool > 0.0 else 0.0
 
 
 def step_round(army1: ArmyState, army2: ArmyState, model: ModelId,
-               is_first_round: bool, rng: random.Random) -> None:
-    """Advance both armies by one round.
+               is_first_round: bool, rng: random.Random) -> bool:
+    """Advance both armies by one round; returns whether either pool was positive.
 
     Both pools are computed from the start-of-round state before either is
     applied, so the exchange is simultaneous and both armies may end the
@@ -226,27 +220,26 @@ def step_round(army1: ArmyState, army2: ArmyState, model: ModelId,
     policy = model.target_policy
     apply_pool(pool1, army2, policy, rng)
     apply_pool(pool2, army1, policy, rng)
+    return pool1 > 0.0 or pool2 > 0.0
 
 
 def run_trial(army1: ArmyState, army2: ArmyState,
               model: ModelId, rng: random.Random) -> TrialOutcome:
     """Simulate one battle to completion; mutates both army states.
 
-    Raises StalemateError if neither army is defeated within ROUND_CAP
-    rounds (possible only for zero-progress inputs).
+    Raises StalemateError as soon as both pools are 0 in a round after the
+    first (from then on no round can change anything), or if neither army
+    is defeated within ROUND_CAP rounds.
     """
     if army1.defeated or army2.defeated:
         raise ValueError("both armies must start with at least one unit")
+    counts1, counts2 = army1.counts, army2.counts
     for rounds in range(1, ROUND_CAP + 1):
-        step_round(army1, army2, model, rounds == 1, rng)
-        alive1 = army1.total_units()
-        alive2 = army2.total_units()
-        if alive1 == 0 or alive2 == 0:
-            if alive1 == 0 and alive2 == 0:
-                winner = Winner.DRAW
-            elif alive2 == 0:
-                winner = Winner.ARMY1
-            else:
-                winner = Winner.ARMY2
-            return TrialOutcome(winner, army1.survivors(), army2.survivors(), rounds)
+        if not step_round(army1, army2, model, rounds == 1, rng) and rounds > 1:
+            raise StalemateError(f"both pools are 0 in round {rounds}: no progress possible")
+        alive1 = sum(counts1)
+        alive2 = sum(counts2)
+        if not alive1 or not alive2:
+            winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
+            return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)
     raise StalemateError(f"both armies still standing after {ROUND_CAP} rounds")

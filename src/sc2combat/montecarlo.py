@@ -14,7 +14,7 @@ import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .engine import ArmyState, ModelId, TrialOutcome, Winner, run_trial
 from .errors import StalemateError
@@ -118,8 +118,12 @@ class _Tally:
         self.survivors1 = [0] * classes1
         self.survivors2 = [0] * classes2
 
-    def record(self, outcome: TrialOutcome) -> None:
-        if outcome.winner is Winner.ARMY1:
+    def record(self, outcome: TrialOutcome | None) -> None:
+        """Tally one trial; None stands for a stalemate, counted as a draw."""
+        if outcome is None:
+            self.draw += 1
+            self.stalemate += 1
+        elif outcome.winner is Winner.ARMY1:
             self.win1 += 1
             for i, count in enumerate(outcome.survivors1):
                 self.survivors1[i] += count
@@ -130,37 +134,46 @@ class _Tally:
         else:
             self.draw += 1
 
-    def record_stalemate(self) -> None:
-        self.draw += 1
-        self.stalemate += 1
-
     def merge(self, other: "_Tally") -> None:
         self.win1 += other.win1
         self.win2 += other.win2
         self.draw += other.draw
         self.stalemate += other.stalemate
-        for i, count in enumerate(other.survivors1):
-            self.survivors1[i] += count
-        for i, count in enumerate(other.survivors2):
-            self.survivors2[i] += count
+        self.survivors1 = [a + b for a, b in zip(self.survivors1, other.survivors1)]
+        self.survivors2 = [a + b for a, b in zip(self.survivors2, other.survivors2)]
 
 
-def _run_block(comp1: tuple[tuple[UnitClass, int], ...],
-               comp2: tuple[tuple[UnitClass, int], ...],
-               model: ModelId, master_seed: int,
-               start: int, stop: int) -> _Tally:
-    template1 = ArmyState(comp1)
-    template2 = ArmyState(comp2)
-    tally = _Tally(len(comp1), len(comp2))
+Resolved = tuple[tuple[UnitClass, int], ...]  # an army as (unit class, count) pairs
+
+
+def _trials(comp1: Resolved, comp2: Resolved, model: ModelId,
+            master_seed: int, start: int, stop: int) -> Iterator[TrialOutcome | None]:
+    """Outcome of each trial in ``start:stop``, None for a stalemate. Both
+    army states are built once and reset in place before each trial."""
+    army1, army2 = ArmyState(comp1), ArmyState(comp2)
     for index in range(start, stop):
-        rng = trial_rng(master_seed, index)
+        army1.counts[:] = army1.initial_counts
+        army2.counts[:] = army2.initial_counts
         try:
-            outcome = run_trial(template1.fresh(), template2.fresh(), model, rng)
+            yield run_trial(army1, army2, model, trial_rng(master_seed, index))
         except StalemateError:
-            tally.record_stalemate()
-        else:
-            tally.record(outcome)
+            yield None
+
+
+def _run_block(comp1: Resolved, comp2: Resolved, model: ModelId,
+               master_seed: int, start: int, stop: int) -> _Tally:
+    tally = _Tally(len(comp1), len(comp2))
+    for outcome in _trials(comp1, comp2, model, master_seed, start, stop):
+        tally.record(outcome)
     return tally
+
+
+def _compositions(spec: ExperimentSpec, catalog: UnitCatalog) -> tuple[Resolved, Resolved]:
+    army1, army2 = build_armies(spec.matchup, catalog)
+    if army1.defeated or army2.defeated:
+        raise ValueError("both armies must be non-empty")
+    return (tuple(zip(army1.classes, army1.initial_counts)),
+            tuple(zip(army2.classes, army2.initial_counts)))
 
 
 def _blocks(trials: int, n_jobs: int) -> Iterable[tuple[int, int]]:
@@ -176,12 +189,7 @@ def run_experiment(spec: ExperimentSpec, catalog: UnitCatalog,
     ``n_jobs`` > 1 splits the trial range across worker processes; the
     result is identical to a serial run.
     """
-    army1, army2 = build_armies(spec.matchup, catalog)
-    comp1 = tuple(zip(army1.classes, army1.initial_counts))
-    comp2 = tuple(zip(army2.classes, army2.initial_counts))
-    if army1.defeated or army2.defeated:
-        raise ValueError("both armies must be non-empty")
-
+    comp1, comp2 = _compositions(spec, catalog)
     total = _Tally(len(comp1), len(comp2))
     if n_jobs <= 1 or spec.trials == 1:
         total.merge(_run_block(comp1, comp2, spec.model, spec.master_seed, 0, spec.trials))
@@ -210,15 +218,13 @@ def sample_outcomes(spec: ExperimentSpec, catalog: UnitCatalog) -> dict[tuple, i
     """Frequency of each terminal (winner, survivors1, survivors2) outcome.
 
     Counterpart of the oracle's ExactDistribution keys, for distribution-
-    level comparisons.
+    level comparisons. Raises StalemateError if a trial stalemates.
     """
-    army1, army2 = build_armies(spec.matchup, catalog)
-    comp1 = tuple(zip(army1.classes, army1.initial_counts))
-    comp2 = tuple(zip(army2.classes, army2.initial_counts))
     counts: dict[tuple, int] = {}
-    for index in range(spec.trials):
-        rng = trial_rng(spec.master_seed, index)
-        outcome = run_trial(ArmyState(comp1), ArmyState(comp2), spec.model, rng)
+    for outcome in _trials(*_compositions(spec, catalog), spec.model, spec.master_seed,
+                           0, spec.trials):
+        if outcome is None:
+            raise StalemateError("a trial ended in a stalemate")
         key = (outcome.winner, outcome.survivors1, outcome.survivors2)
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -10,6 +10,7 @@ are diffable, and are validated against count and sum invariants at load.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -146,7 +147,10 @@ def _load_yaml(source: ScenarioSource, what: str) -> object:
         raise ScenarioError(f"{what} is not valid YAML: {exc}") from exc
 
 
+@functools.cache
 def _bundled(name: str) -> object:
+    """A bundled YAML file, parsed once per process. The document is shared:
+    callers build new objects from it and never mutate it."""
     text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
     return yaml.safe_load(text)
 

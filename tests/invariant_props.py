@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sc2combat import (
     ArmyState,
-    DamagePool,
     ExperimentSpec,
     MatchupSpec,
     ModelId,
@@ -131,7 +130,7 @@ def prop_pool_kills_bounded(comp, pool, policy, seed):
     defender = ArmyState(comp)
     before = defender.total_units()
     min_health = min(defender.eff_health)
-    apply_pool(DamagePool(float(pool)), defender, policy, random.Random(seed))
+    apply_pool(float(pool), defender, policy, random.Random(seed))
     kills = before - defender.total_units()
     assert kills <= min(before, math.ceil(pool / min_health))
 
@@ -151,7 +150,7 @@ def prop_trial_reproducible(comp1, comp2, model, seed):
 def prop_pools_nonnegative_bonus_bounded(comp1, comp2, model, first):
     attacker = ArmyState(comp1)
     defender = ArmyState(comp2)
-    assert compute_pool(attacker, defender, model, first).remaining >= 0.0
+    assert compute_pool(attacker, defender, model, first) >= 0.0
     capacity = sum(c * b for c, b in zip(attacker.counts, attacker.eff_bonus_dps))
     for ranged_only in (False, True):
         extra = bonus_pool(attacker, defender, ranged_only)
@@ -165,13 +164,13 @@ def prop_melee_contributes_nothing_first_round(comp, enemy, model):
     attacker = ArmyState(comp)
     defender = ArmyState(enemy)
     ranged_comp = [(u, c) for u, c in comp if u.ranged]
-    full = compute_pool(attacker, defender, model, is_first_round=True).remaining
+    full = compute_pool(attacker, defender, model, is_first_round=True)
     if not ranged_comp:
         assert full == 0.0
     else:
         ranged_army = ArmyState(ranged_comp)
         assert full == compute_pool(ranged_army, defender, model,
-                                    is_first_round=True).remaining
+                                    is_first_round=True)
 
 
 @CASES

@@ -116,6 +116,20 @@ class TestUsageErrors:
     def test_run_requires_scenario(self, capsys):
         assert run_cli(capsys, "run")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("reproduce", "--trials", "0"),
+        ("compare", "--trials", "-5"),
+        ("reproduce", "--jobs", "0"),
+        ("reproduce", "--jobs", "-3"),
+        ("mae", "--simulate", "--jobs", "0"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert argv[-2] in lines[0]
+
 
 class TestReproduce:
     def test_single_row_structure(self, capsys):

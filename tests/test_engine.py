@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+import sc2combat.engine as engine
 from sc2combat import (
     ROUND_CAP,
     ArmyState,
-    DamagePool,
     ModelId,
     StalemateError,
     TargetPolicy,
@@ -51,28 +51,28 @@ class TestComputePool:
     def test_four_hellions_apx1(self, catalog):
         hellions = army((catalog["hellion"], 4))
         lings = army((catalog["zergling"], 10))
-        assert compute_pool(hellions, lings, ModelId.APX1, True).remaining == 64.0
-        assert compute_pool(hellions, lings, ModelId.APX1, False).remaining == 64.0
+        assert compute_pool(hellions, lings, ModelId.APX1, True) == 64.0
+        assert compute_pool(hellions, lings, ModelId.APX1, False) == 64.0
 
     def test_apx2_first_round_all_melee_is_zero(self):
         melee = army((make_unit("m", dps=9.0), 5))
         other = army((make_unit("x"), 1))
-        assert compute_pool(melee, other, ModelId.APX2, True).remaining == 0.0
-        assert compute_pool(melee, other, ModelId.APX2, False).remaining == 45.0
+        assert compute_pool(melee, other, ModelId.APX2, True) == 0.0
+        assert compute_pool(melee, other, ModelId.APX2, False) == 45.0
 
     def test_apx2_first_round_all_ranged_matches_apx1(self):
         ranged = army((make_unit("r", dps=7.0, ranged=True), 3),
                       (make_unit("s", dps=2.5, ranged=True), 2))
         other = army((make_unit("x"), 1))
-        apx1 = compute_pool(ranged, other, ModelId.APX1, True).remaining
-        apx2 = compute_pool(ranged, other, ModelId.APX2, True).remaining
+        apx1 = compute_pool(ranged, other, ModelId.APX1, True)
+        apx2 = compute_pool(ranged, other, ModelId.APX2, True)
         assert apx1 == apx2
 
     def test_dead_classes_contribute_nothing(self):
         a = army((make_unit("a", dps=4.0), 2), (make_unit("b", dps=9.0), 1))
         a.counts[1] = 0
         other = army((make_unit("x"), 1))
-        assert compute_pool(a, other, ModelId.APX1, False).remaining == 8.0
+        assert compute_pool(a, other, ModelId.APX1, False) == 8.0
 
 
 class TestBonusPool:
@@ -104,23 +104,22 @@ class TestBonusPool:
         hellions = army((catalog["hellion"], 2))
         defenders = army((catalog["zergling"], 2), (catalog["roach"], 2))
         pool = compute_pool(hellions, defenders, ModelId.APX3, False)
-        assert pool.remaining == pytest.approx(32.0 + 12.0)
+        assert pool == pytest.approx(32.0 + 12.0)
 
 
 class TestApplyPool:
     def test_exact_lethal_kill_is_certain(self):
         defender = army((make_unit("d", health=20), 1))
-        pool = DamagePool(20.0)
-        apply_pool(pool, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(1))
+        pool = apply_pool(20.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(1))
         assert defender.counts == [0]
-        assert pool.remaining == 0.0
+        assert pool == 0.0
 
     def test_partial_pool_kills_at_ratio(self):
         kills = 0
         n = 10_000
         for i in range(n):
             defender = army((make_unit("d", health=10), 1))
-            apply_pool(DamagePool(5.0), defender, TargetPolicy.UNIFORM_RANDOM,
+            apply_pool(5.0, defender, TargetPolicy.UNIFORM_RANDOM,
                        random.Random(i))
             kills += defender.counts[0] == 0
         assert abs(kills / n - 0.5) <= three_sigma(0.5, n)
@@ -130,20 +129,35 @@ class TestApplyPool:
         shooter = make_unit("r", health=10, ranged=True)
         for seed in range(200):
             defender = army((melee, 1), (shooter, 1))
-            apply_pool(DamagePool(10.0), defender, TargetPolicy.MELEE_FIRST,
+            apply_pool(10.0, defender, TargetPolicy.MELEE_FIRST,
                        random.Random(seed))
             assert defender.counts == [0, 1]
 
     def test_overkill_is_discarded(self):
         defender = army((make_unit("d", health=5), 2))
-        pool = DamagePool(1000.0)
-        apply_pool(pool, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0))
+        apply_pool(1000.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0))
         assert defender.counts == [0]
         assert defender.defeated
 
+    @pytest.mark.parametrize("policy, comp, expected", [
+        (TargetPolicy.UNIFORM_RANDOM, ((False, 1), (False, 1), (False, 0)), [1, 0, 0]),
+        (TargetPolicy.MELEE_FIRST, ((False, 1), (False, 0), (True, 1)), [0, 0, 1]),
+    ])
+    def test_pick_rounding_falls_back_to_last_eligible_class(self, policy, comp, expected):
+        class TopOfRange:
+            # random() never returns 1.0; a pick that rounds up to the total
+            # takes the same path
+            def random(self):
+                return 1.0
+
+        defender = army(*((make_unit(f"u{i}", health=10, ranged=r), c)
+                          for i, (r, c) in enumerate(comp)))
+        apply_pool(10.0, defender, policy, TopOfRange())
+        assert defender.counts == expected
+
     def test_zero_pool_is_noop(self):
         defender = army((make_unit("d"), 3))
-        apply_pool(DamagePool(0.0), defender, TargetPolicy.UNIFORM_RANDOM,
+        apply_pool(0.0, defender, TargetPolicy.UNIFORM_RANDOM,
                    random.Random(0))
         assert defender.counts == [3]
 
@@ -204,6 +218,24 @@ class TestRunTrial:
         with pytest.raises(StalemateError):
             run_trial(a, b, ModelId.APX1, random.Random(0))
 
+    def test_zero_progress_is_a_stalemate_in_round_two(self, monkeypatch):
+        calls = []
+        original = engine.compute_pool
+        monkeypatch.setattr(engine, "compute_pool",
+                            lambda *args: calls.append(args) or original(*args))
+        a = army((make_unit("a", dps=0.0), 1))
+        b = army((make_unit("b", dps=0.0), 1))
+        with pytest.raises(StalemateError, match="round 2"):
+            run_trial(a, b, ModelId.APX1, random.Random(0))
+        assert len(calls) == 4
+
+    def test_melee_only_first_round_is_not_a_stalemate(self):
+        # APX2: round one's pools are 0 for melee-only armies, round two's are not
+        a = army((make_unit("a", health=10, dps=10.0), 1))
+        b = army((make_unit("b", health=10, dps=10.0), 1))
+        outcome = run_trial(a, b, ModelId.APX2, random.Random(0))
+        assert outcome.winner is Winner.DRAW and outcome.rounds == 2
+
     def test_round_cap_value(self):
         assert ROUND_CAP == 10_000
 
@@ -239,10 +271,16 @@ class TestArmyState:
         with pytest.raises(ValueError):
             ArmyState([(make_unit("a"), -1)])
 
-    def test_fresh_resets(self):
-        a = army((make_unit("a"), 3))
-        a.counts[0] = 1
-        assert a.fresh().counts == [3]
+    def test_bonus_targets_built_once_per_opponent(self):
+        attacker = army((make_unit("a", bonus=2.0, bonus_vs=("light",)), 1),
+                        (make_unit("p"), 1))
+        defender = army((make_unit("heavy", attrs=("armored",)), 1),
+                        (make_unit("lite", attrs=("light",)), 1))
+        table = attacker.bonus_targets(defender)
+        assert table == ((0, (1,)),)
+        assert attacker.bonus_targets(defender) is table
+        other = army((make_unit("lite", attrs=("light",)), 1))
+        assert attacker.bonus_targets(other) == ((0, (0,)),)
 
     def test_total_effective_health(self):
         a = army((make_unit("a", health=100, armor=1), 2))

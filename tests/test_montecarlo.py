@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+import sc2combat.montecarlo as montecarlo
 from sc2combat import (
     ExperimentSpec,
     MatchupSpec,
     ModelId,
+    StalemateError,
     UnitCatalog,
     Winner,
     run_experiment,
@@ -114,6 +116,23 @@ class TestRunExperiment:
         mean = result.mean_survivors1[0]
         assert abs(mean - 1.2) <= 3 * math.sqrt(0.16 / spec.trials)
 
+    def test_trials_start_from_initial_counts(self, monkeypatch):
+        starts = []
+        original = montecarlo.run_trial
+
+        def recording(army1, army2, model, rng):
+            starts.append((army1, army2, tuple(army1.counts), tuple(army2.counts)))
+            return original(army1, army2, model, rng)
+
+        monkeypatch.setattr(montecarlo, "run_trial", recording)
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX1, trials=20, master_seed=3)
+        run_experiment(spec, tiny_catalog())
+        assert len(starts) == 20
+        assert {(c1, c2) for _, _, c1, c2 in starts} == {((2,), (3,))}
+        # one pair of states serves the whole block
+        assert len({(id(a1), id(a2)) for a1, a2, _, _ in starts}) == 1
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
@@ -133,3 +152,9 @@ class TestSampleOutcomes:
                                    (Winner.DRAW, "draw_count")):
             total = sum(c for (w, _, _), c in outcomes.items() if w is winner)
             assert total == getattr(result, count_attr)
+
+    def test_stalemate_raises(self):
+        spec = ExperimentSpec(matchup=matchup([("inert", 1)], [("inert", 1)]),
+                              model=ModelId.APX1, trials=3, master_seed=0)
+        with pytest.raises(StalemateError):
+            sample_outcomes(spec, tiny_catalog())

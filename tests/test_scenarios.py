@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import sc2combat.scenarios as scenarios
 from sc2combat import (
     ModelId,
     ScenarioError,
@@ -85,6 +86,27 @@ class TestReferenceTable:
     def test_win_fractions_sum_near_one(self):
         for row in reference_table():
             assert 0.99 <= row.win1 + row.win2 <= 1.01
+
+
+class TestBundledDataCache:
+    def test_repeated_lookups_parse_yaml_once(self, monkeypatch):
+        parsed = []
+        original = scenarios.yaml.safe_load
+        monkeypatch.setattr(scenarios.yaml, "safe_load",
+                            lambda text: parsed.append(text) or original(text))
+        scenarios._bundled.cache_clear()
+        for _ in range(3):
+            assert find_matchup(1, "PvT").round == 1
+            assert find_reference_row(1, "Test", "PvT").win1 == 0.92
+        assert len(parsed) == 2
+
+    def test_each_call_returns_a_new_list(self):
+        matchups = builtin_matchups()
+        matchups.clear()
+        assert len(builtin_matchups()) == 12
+        rows = reference_table()
+        rows.pop()
+        assert len(reference_table()) == 60
 
 
 class TestMatchupValidation:
