@@ -22,7 +22,7 @@ import yaml
 from . import report
 from .engine import ModelId
 from .errors import CombatError
-from .montecarlo import AggregateResult, ExperimentSpec, run_experiment
+from .montecarlo import SEED_LIMIT, AggregateResult, ExperimentSpec, run_experiment
 from .scenarios import (
     PAIRINGS,
     ROUNDS,
@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run fresh simulations instead of the bundled model rows")
     p_mae.add_argument("--chart", action="store_true", help="append a plain-text bar chart")
     _add_common(p_mae)
-    p_mae.set_defaults(func=_cmd_mae)
+    # --simulate runs every builtin matchup under every model
+    p_mae.set_defaults(func=_cmd_mae, model="all", round_="all", match="all")
 
     p_units = sub.add_parser("list-units", help="show the unit catalog")
     _add_common(p_units, simulation=False)
@@ -274,14 +275,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_mae(args: argparse.Namespace) -> int:
     reference = reference_table()
     if args.simulate:
-        catalog = _catalog_from(args)
-        results = []
-        for model in ModelId:
-            for matchup in builtin_matchups():
-                spec = ExperimentSpec(matchup=matchup, model=model,
-                                      trials=args.trials, master_seed=args.seed)
-                results.append(run_experiment(spec, catalog, n_jobs=args.jobs))
-        summary = report.mae_by_model(reference, results)
+        summary = report.mae_by_model(reference, _run_selected(args, _catalog_from(args)))
     else:
         summary = report.mae_by_model(reference)
     columns = ("model", "mae")
@@ -338,6 +332,9 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         if getattr(args, flag, 1) < 1:
             print(f"error: --{flag} must be at least 1", file=sys.stderr)
             return 2
+    if not 0 <= getattr(args, "seed", 0) < SEED_LIMIT:
+        print("error: --seed must be in [0, 2**64)", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CombatError as exc:

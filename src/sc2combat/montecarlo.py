@@ -21,7 +21,8 @@ from .errors import StalemateError
 from .scenarios import MatchupSpec, build_armies
 from .units import UnitCatalog, UnitClass
 
-_SEED_MASK = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # master seeds lie in [0, SEED_LIMIT)
+_SEED_MASK = SEED_LIMIT - 1
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -46,6 +47,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,33 @@
-"""Exact outcome distributions for tiny battles by exhaustive enumeration.
+"""Exact outcome distributions for small battles by exhaustive enumeration.
 
 This is a brute-force cross-check for the sampling engine, implemented
-independently of it: instead of drawing targets and kill rolls, it expands
-the full probability tree over target selections and probabilistic kills
-with exact rational arithmetic.
+independently of it: instead of drawing targets and kill rolls, it works out
+every target selection and probabilistic kill with exact rational
+arithmetic.
+
+A battle state is (counts1, counts2, first_round). The enumeration
+propagates probability mass forward: it starts with mass 1 on the opening
+state and expands each reachable state exactly once, pushing its mass
+through one round's transitions to the successor states and adding the mass
+that reaches a terminal state (one or both armies dead) to the result. Every
+transition lowers the total unit count, except the move from the opening
+round to the same counts in a later round, and that successor only enters
+the queue once the opening state is expanded. So states are expanded in
+order of falling unit total, and each state's mass is then complete when it
+is expanded.
 
 Rounds that change nothing on either side (possible when both pools are too
-small to guarantee a kill) would make the tree infinite; such a round maps a
-state to itself with some probability q, so the enumeration folds the loop
-analytically by renormalizing the remaining branches by 1/(1-q). The
-recursion therefore only ever descends into states with strictly fewer
-units and needs no round cap.
+small to guarantee a kill) map a state to itself with some probability q.
+The enumeration folds that loop analytically by dividing the state's mass by
+1 - q before pushing it on, so it needs no round cap. A reachable state with
+q == 1 can never progress and raises StalemateError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .engine import ModelId, TargetPolicy, Winner
@@ -32,7 +43,13 @@ _SUM_TOLERANCE = Fraction(1, 10**12)
 
 @dataclass(frozen=True)
 class EnumerationLimits:
-    """Guard rails for the state-space expansion."""
+    """Guard rails for the state-space expansion.
+
+    ``max_units_per_side`` caps each army's starting unit count.
+    EnumerationLimitError is raised when more than ``max_states`` distinct
+    non-terminal states (counts1, counts2, first_round) would be expanded,
+    so a battle with N reachable states passes at ``max_states=N``.
+    """
 
     max_units_per_side: int = 4
     max_states: int = 20_000
@@ -156,54 +173,49 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
         raise ValueError("both armies must start with at least one unit")
 
     policy = model.target_policy
-    memo: dict[tuple, dict[Outcome, Fraction]] = {}
-
-    def battle(c1: tuple[int, ...], c2: tuple[int, ...],
-               first_round: bool) -> dict[Outcome, Fraction]:
-        key = (c1, c2, first_round)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(memo) >= limits.max_states:
+    # Pop by falling unit total; each state's mass is then complete when it
+    # is expanded (see the module docstring).
+    start = (counts1, counts2, True)
+    mass: dict[tuple, Fraction] = {start: Fraction(1)}
+    heap = [(-sum(counts1) - sum(counts2), start)]
+    result: dict[Outcome, Fraction] = {}
+    expanded = 0
+    while heap:
+        key = heappop(heap)[1]
+        c1, c2, first_round = key
+        expanded += 1
+        if expanded > limits.max_states:
             raise EnumerationLimitError(f"more than {limits.max_states} battle states")
 
         pool1 = _round_pool(stats1, c1, stats2, c2, model, first_round)
         pool2 = _round_pool(stats2, c2, stats1, c1, model, first_round)
         dist2 = _apply_distribution(pool1, stats2, c2, policy)
         dist1 = _apply_distribution(pool2, stats1, c1, policy)
-
-        result: dict[Outcome, Fraction] = {}
-        self_prob = Fraction(0)
-
-        def add(outcome: Outcome, p: Fraction) -> None:
-            result[outcome] = result.get(outcome, Fraction(0)) + p
-
-        for n1, p1 in dist1.items():
-            for n2, p2 in dist2.items():
-                p = p1 * p2
-                alive1 = any(n1)
-                alive2 = any(n2)
-                if not alive1 and not alive2:
-                    add((Winner.DRAW, n1, n2), p)
-                elif not alive2:
-                    add((Winner.ARMY1, n1, n2), p)
-                elif not alive1:
-                    add((Winner.ARMY2, n1, n2), p)
-                elif n1 == c1 and n2 == c2 and not first_round:
-                    self_prob += p
-                else:
-                    for outcome, sub_p in battle(n1, n2, False).items():
-                        add(outcome, p * sub_p)
-
+        self_prob = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
         if self_prob == 1:
             raise StalemateError("neither army can make progress from this state")
-        if self_prob:
-            scale = 1 / (1 - self_prob)
-            result = {outcome: p * scale for outcome, p in result.items()}
-        memo[key] = result
-        return result
+        scale = mass.pop(key) / (1 - self_prob)
 
-    return ExactDistribution(battle(counts1, counts2, True))
+        for n1, p1 in dist1.items():
+            p1 *= scale
+            alive1 = any(n1)
+            for n2, p2 in dist2.items():
+                alive2 = any(n2)
+                if alive1 and alive2:
+                    if n1 == c1 and n2 == c2 and not first_round:
+                        continue
+                    successor = (n1, n2, False)
+                    if successor in mass:
+                        mass[successor] += p1 * p2
+                    else:
+                        mass[successor] = p1 * p2
+                        heappush(heap, (-sum(n1) - sum(n2), successor))
+                else:
+                    winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
+                    outcome = (winner, n1, n2)
+                    result[outcome] = result.get(outcome, 0) + p1 * p2
+
+    return ExactDistribution(result)
 
 
 def enumerate_exact(matchup: MatchupSpec, model: ModelId, catalog: UnitCatalog,

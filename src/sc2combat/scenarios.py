@@ -255,7 +255,7 @@ def load_scenario(source: ScenarioSource, catalog: UnitCatalog) -> Scenario:
         trials = doc["trials"]
     seed = None
     if "seed" in doc:
-        if not isinstance(doc["seed"], int):
-            raise ScenarioError("seed must be an integer")
+        if not isinstance(doc["seed"], int) or not 0 <= doc["seed"] < 1 << 64:
+            raise ScenarioError("seed must be an integer in [0, 2**64)")
         seed = doc["seed"]
     return Scenario(matchup=matchup, model=model, trials=trials, seed=seed)

@@ -22,3 +22,19 @@ def make_unit(name="u", health=10, dps=5.0, ranged=False, armor=0, shields=0,
 @pytest.fixture(scope="session")
 def catalog():
     return default_catalog()
+
+
+@pytest.fixture(scope="session")
+def run_property():
+    """Run an invariant property unless this session already ran it; return
+    whether it passed. A failing property raises on its first run."""
+    passed: dict[str, bool] = {}
+
+    def run(prop) -> bool:
+        if prop.__name__ not in passed:
+            passed[prop.__name__] = False
+            prop()
+            passed[prop.__name__] = True
+        return passed[prop.__name__]
+
+    return run

@@ -1,7 +1,9 @@
 """Property-based invariant suite, shared by test_properties and acceptance.
 
 Each property runs 1000 generated cases. They are plain functions (no
-fixtures), so the acceptance suite can invoke them directly.
+fixtures). Both suites call them through conftest's ``run_property``, so a
+pytest session runs each property only once, whichever suite reaches it
+first.
 """
 
 import math

@@ -233,10 +233,13 @@ def test_criterion_7_derived_unit_stats():
           "effective_dps(hellion)=16.0, effective_bonus_dps(hellion)=12.0, exact")
 
 
-def test_criterion_8_invariant_property_suite():
-    """Every module invariant holds over 1000 generated cases per property."""
+def test_criterion_8_invariant_property_suite(run_property):
+    """Every module invariant holds over 1000 generated cases per property.
+
+    Each property runs once per session: here, or in test_properties if that
+    ran first, in which case its recorded result is checked."""
     for prop in PROPERTIES:
-        prop()
+        assert run_property(prop), f"{prop.__name__} failed earlier in this session"
         print(f"  property ok: {prop.__name__} (1000 cases)")
     print(f"\nACCEPTANCE 8 PASS: {len(PROPERTIES)} invariant properties x 1000 "
           "generated cases each")

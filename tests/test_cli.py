@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, default_catalog, report,
+                       reference_table, run_experiment)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
 from sc2combat.units import DEFAULT_CATALOG_ENV
 
@@ -94,6 +96,14 @@ class TestRun:
         assert code == 1
         assert "wraith" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_scenario_seed_out_of_range_is_data_error(self, capsys, tmp_path, seed):
+        path = tmp_path / "battle.yaml"
+        path.write_text(SCENARIO.replace("seed: 42", f"seed: {seed}"))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "seed" in err
+
     def test_model_flag_overrides_scenario(self, capsys, tmp_path):
         path = tmp_path / "battle.yaml"
         path.write_text(SCENARIO)
@@ -129,6 +139,18 @@ class TestUsageErrors:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert argv[-2] in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("reproduce", "--seed", "-1"),
+        ("compare", "--seed", str(2**64)),
+        ("mae", "--simulate", "--seed", "-1"),
+        ("run", "--scenario", "battle.yaml", "--seed", str(2**64)),
+    ])
+    def test_seed_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --seed")
 
 
 class TestReproduce:
@@ -208,3 +230,15 @@ class TestMae:
         records = json.loads(out)
         assert len(records) == 4
         assert all(0.0 <= r["mae"] <= 1.0 for r in records)
+
+    def test_simulate_matches_mae_by_model(self, capsys):
+        code, out, _ = run_cli(capsys, "mae", "--simulate", "--trials", "10", "--seed", "4")
+        assert code == 0
+        catalog = default_catalog()
+        results = [run_experiment(ExperimentSpec(m, model, 10, 4), catalog)
+                   for model in ModelId for m in builtin_matchups()]
+        summary = report.mae_by_model(reference_table(), results)
+        expected = report.render("table", ("model", "mae"),
+                                 [[model.name, f"{summary.errors[model]:.4f}"]
+                                  for model in ModelId])
+        assert out == expected + "\n"

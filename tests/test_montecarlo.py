@@ -44,6 +44,15 @@ class TestTrialStreams:
     def test_negative_master_seed_accepted(self):
         assert trial_seed(-7, 3) == trial_seed(-7, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spec_rejects_seed_outside_64_bits(self, seed):
+        # trial_seed masks to 64 bits, so -1 would alias 2**64 - 1
+        with pytest.raises(ValueError):
+            ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
+                           model=ModelId.APX1, master_seed=seed)
+        ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
+                       model=ModelId.APX1, master_seed=seed % 2**64)
+
     def test_streams_reproducible(self):
         assert [trial_rng(9, 4).random() for _ in range(3)] == \
                [trial_rng(9, 4).random() for _ in range(3)]

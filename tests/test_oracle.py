@@ -99,6 +99,40 @@ def test_stalemate_detected():
         enumerate_compositions([(a, 1)], [(b, 1)], ModelId.APX1)
 
 
+def test_stalemate_reached_after_kills_detected():
+    # each side kills one unit a round; if both killers fall, only the
+    # harmless units remain and no later round can change anything
+    killer = make_unit("k", health=10, dps=10.0, ranged=True)
+    harmless = make_unit("h", health=10, dps=0.0, ranged=True)
+    comp = [(killer, 1), (harmless, 1)]
+    with pytest.raises(StalemateError):
+        enumerate_compositions(comp, comp, ModelId.APX1)
+
+
+def test_melee_only_apx2_first_round_kills_nothing():
+    # APX2's first round fires ranged units only, so here it changes nothing
+    # and the battle proceeds as under APX1 from the start
+    a = make_unit("a", health=10, dps=6.0)
+    b = make_unit("b", health=12, dps=5.0)
+    dist = enumerate_compositions([(a, 2)], [(b, 2)], ModelId.APX2)
+    assert dist.outcomes == {
+        (Winner.ARMY1, (1,), (0,)): Fraction(1, 3),
+        (Winner.ARMY2, (0,), (1,)): Fraction(1, 3),
+        (Winner.DRAW, (0,), (0,)): Fraction(1, 3),
+    }
+    assert dist.outcomes == enumerate_compositions([(a, 2)], [(b, 2)], ModelId.APX1).outcomes
+
+
+def test_max_states_counts_expanded_states():
+    # A 15-point pool kills one unit for sure and a second with chance 1/2,
+    # so 3v3 reaches the opening state, then 2v2, 2v1, 1v2 and 1v1: 5 states.
+    u = make_unit("u", health=10, dps=5.0, ranged=True)
+    enumerate_compositions([(u, 3)], [(u, 3)], ModelId.APX1, EnumerationLimits(max_states=5))
+    with pytest.raises(EnumerationLimitError):
+        enumerate_compositions([(u, 3)], [(u, 3)], ModelId.APX1,
+                               EnumerationLimits(max_states=4))
+
+
 def test_empty_army_rejected():
     a = make_unit("a")
     with pytest.raises(ValueError):

@@ -1,20 +1,36 @@
-"""Simulation results pinned bit for bit.
+"""Simulation results and exact distributions pinned bit for bit.
 
 A rewrite of the engine or the Monte Carlo loop must keep every float
 operation and every random draw in the same order, so that a given
 (seed, trials) gives the same results. These digests were computed before
 the engine's hot path was rewritten around per-experiment tables; a change
 that alters the random streams or a model rule on purpose must say so and
-pin new digests.
+pin new digests. The exact-distribution digests were computed with the
+recursive oracle that preceded forward mass propagation.
 """
 
 import hashlib
 
 from sc2combat import ExperimentSpec, MatchupSpec, ModelId, builtin_matchups, run_experiment
-from sc2combat import sample_outcomes
+from sc2combat import enumerate_compositions, sample_outcomes
 
 GRID_DIGEST = "3d71ce5ff3fdb85c94fe265c0a4a9eea73393ac98c888d52a24ab8101649f176"
 MIXED_4V4_DIGEST = "63478e76393bf93fa7385007bf2ed6d1820ec391500e2d94a7a43a4af1c54c58"
+
+# Mixed battles of melee, ranged and bonus units; one digest covers the
+# sorted outcomes of all four models.
+EXACT_DIGESTS = {
+    ((("zealot", 2), ("stalker", 2)), (("marine", 2), ("marauder", 2))):
+        "a904e3abdff70d32377660cc5a933dec2ef1b8959a909f620ac5e355ea9d1add",
+    ((("zealot", 3), ("stalker", 1)), (("zergling", 3), ("roach", 1))):
+        "c7ed8fa38b0c294cf1456996e170ed139557169943ce6bdcdadeb79369541817",
+    ((("marine", 3), ("marauder", 1)), (("zergling", 2), ("roach", 2))):
+        "2aa39d011a8732ca1014340e8787677c33cb1277a6685798e2a921879bffbfb7",
+    ((("zealot", 2), ("archon", 1)), (("marine", 3), ("hellion", 1))):
+        "b0a099e9942f559c5eeee4e62325aa6aebcf36b694e9151cb87b3e5af698f234",
+    ((("stalker", 2), ("sentry", 2)), (("hydralisk", 2), ("roach", 2))):
+        "9bb64db58a83f29880385485e8588afd399fe213d909e06ece6b2be70a850583",
+}
 
 
 def sha256(text: str) -> str:
@@ -37,3 +53,17 @@ def test_sampled_outcomes_are_pinned(catalog):
     counts = sample_outcomes(spec, catalog)
     assert sum(counts.values()) == 500
     assert sha256(repr(sorted(counts.items(), key=repr))) == MIXED_4V4_DIGEST
+
+
+def exact_digest(army1, army2, catalog) -> str:
+    comp1 = [(catalog[name], count) for name, count in army1]
+    comp2 = [(catalog[name], count) for name, count in army2]
+    return sha256("\n".join(
+        repr(sorted(enumerate_compositions(comp1, comp2, model).outcomes.items(), key=repr))
+        for model in ModelId))
+
+
+def test_exact_distributions_pinned(catalog):
+    """Exact outcome distributions of mixed battles up to 4 units a side."""
+    for (army1, army2), digest in EXACT_DIGESTS.items():
+        assert exact_digest(army1, army2, catalog) == digest, (army1, army2)

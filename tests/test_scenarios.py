@@ -163,6 +163,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="trials"):
             load_scenario(io.StringIO(doc), catalog)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, "x"])
+    def test_bad_seed(self, catalog, seed):
+        doc = SCENARIO.replace("seed: 42", f"seed: {seed}")
+        with pytest.raises(ScenarioError, match="seed"):
+            load_scenario(io.StringIO(doc), catalog)
+
     def test_unknown_key(self, catalog):
         with pytest.raises(ScenarioError, match="unknown"):
             load_scenario(io.StringIO(SCENARIO + "\nupgrades: 3"), catalog)
