@@ -23,14 +23,7 @@ from . import report
 from .engine import ModelId
 from .errors import CombatError
 from .montecarlo import SEED_LIMIT, AggregateResult, ExperimentSpec, run_experiment
-from .scenarios import (
-    PAIRINGS,
-    ROUNDS,
-    MatchupSpec,
-    builtin_matchups,
-    load_scenario,
-    reference_table,
-)
+from .scenarios import PAIRINGS, builtin_matchups, load_scenario, reference_table
 from .units import (
     UnitCatalog,
     default_catalog,
@@ -43,6 +36,7 @@ from .units import (
 TABLE1_COLUMNS = ("round", "type", "match",
                   "1-1", "1-2", "1-3", "1-4", "2-1", "2-2", "2-3", "2-4",
                   "1-%", "2-%")
+_DEFAULT_TRIALS, _DEFAULT_SEED = 1000, 0
 
 
 def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> None:
@@ -52,8 +46,8 @@ def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> Non
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--output", metavar="PATH", help="write report here instead of stdout")
     if simulation:
-        parser.add_argument("--trials", type=int, default=1000)
-        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
+        parser.add_argument("--seed", type=int, default=_DEFAULT_SEED)
         parser.add_argument("--jobs", type=int, default=1,
                             help="worker processes (results identical for any value)")
 
@@ -83,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("apx1", "apx2", "apx3", "apx4"),
                        help="model to run (overrides the scenario file)")
     _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    # None marks a flag not given, so _cmd_run can tell it from a default
+    p_run.set_defaults(func=_cmd_run, trials=None, seed=None)
 
     p_rep = sub.add_parser("reproduce", help="rerun builtin matchups, reference-table layout")
     _add_filters(p_rep)
@@ -96,10 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_mae = sub.add_parser("mae", help="mean absolute error per model vs the test rows")
-    group = p_mae.add_mutually_exclusive_group()
-    group.add_argument("--from-reference", action="store_true", default=True,
-                       help="use the bundled model rows (default)")
-    group.add_argument("--simulate", action="store_true",
+    p_mae.add_argument("--simulate", action="store_true",
                        help="run fresh simulations instead of the bundled model rows")
     p_mae.add_argument("--chart", action="store_true", help="append a plain-text bar chart")
     _add_common(p_mae)
@@ -132,42 +124,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _parse_models(text: str) -> list[ModelId]:
-    if text.lower() == "all":
-        return list(ModelId)
-    return [ModelId.parse(text)]
-
-
-def _parse_rounds(text: str) -> list[int]:
-    if text.lower() == "all":
-        return list(ROUNDS)
-    return [int(text)]
-
-
-def _parse_matches(text: str) -> list[str]:
-    if text.lower() == "all":
-        return list(PAIRINGS)
-    for pairing in PAIRINGS:
-        if text.lower() == pairing.lower():
-            return [pairing]
-    raise CombatError(f"unknown match: {text!r}")
-
-
-def _selected_matchups(args: argparse.Namespace) -> list[MatchupSpec]:
-    rounds = _parse_rounds(args.round_)
-    matches = _parse_matches(args.match)
-    return [m for m in builtin_matchups()
-            if m.round in rounds and m.pairing in matches]
-
-
 def _run_selected(args: argparse.Namespace, catalog: UnitCatalog) -> list[AggregateResult]:
-    results = []
-    for model in _parse_models(args.model):
-        for matchup in _selected_matchups(args):
-            spec = ExperimentSpec(matchup=matchup, model=model,
-                                  trials=args.trials, master_seed=args.seed)
-            results.append(run_experiment(spec, catalog, n_jobs=args.jobs))
-    return results
+    """Every selected model on every selected builtin matchup, model-major.
+    The filter values are already restricted by the parser's choices."""
+    models = list(ModelId) if args.model == "all" else [ModelId.parse(args.model)]
+    matchups = [m for m in builtin_matchups()
+                if args.round_ in ("all", str(m.round))
+                and args.match in ("all", m.pairing.lower())]
+    return [run_experiment(ExperimentSpec(matchup=matchup, model=model,
+                                          trials=args.trials, master_seed=args.seed),
+                           catalog, n_jobs=args.jobs)
+            for model in models for matchup in matchups]
 
 
 def _survivor_cells(means: tuple[float, ...] | None, fmt: str) -> list[object]:
@@ -203,18 +170,18 @@ def _table1_row(result: AggregateResult, fmt: str) -> list[object]:
     )
 
 
+def _first_given(*values: int | None) -> int:
+    return next(value for value in values if value is not None)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     catalog = _catalog_from(args)
     with open(args.scenario, "r", encoding="utf-8") as handle:
         scenario = load_scenario(handle, catalog)
-    if args.model:
-        model = ModelId.parse(args.model)
-    elif scenario.model is not None:
-        model = scenario.model
-    else:
-        model = ModelId.APX4
-    trials = scenario.trials if scenario.trials is not None else args.trials
-    seed = scenario.seed if scenario.seed is not None else args.seed
+    # a flag that was given wins, then the scenario file, then the default
+    model = ModelId.parse(args.model) if args.model else scenario.model or ModelId.APX4
+    trials = _first_given(args.trials, scenario.trials, _DEFAULT_TRIALS)
+    seed = _first_given(args.seed, scenario.seed, _DEFAULT_SEED)
     spec = ExperimentSpec(matchup=scenario.matchup, model=model,
                           trials=trials, master_seed=seed)
     result = run_experiment(spec, catalog, n_jobs=args.jobs)
@@ -329,10 +296,12 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     for flag in ("trials", "jobs"):
-        if getattr(args, flag, 1) < 1:
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
             print(f"error: --{flag} must be at least 1", file=sys.stderr)
             return 2
-    if not 0 <= getattr(args, "seed", 0) < SEED_LIMIT:
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
         print("error: --seed must be in [0, 2**64)", file=sys.stderr)
         return 2
     try:

@@ -14,11 +14,11 @@ import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .engine import ArmyState, ModelId, TrialOutcome, Winner, run_trial
 from .errors import StalemateError
-from .scenarios import MatchupSpec, build_armies
+from .scenarios import MatchupSpec, resolve_matchup
 from .units import UnitCatalog, UnitClass
 
 SEED_LIMIT = 1 << 64  # master seeds lie in [0, SEED_LIMIT)
@@ -146,7 +146,7 @@ class _Tally:
         self.survivors2 = [a + b for a, b in zip(self.survivors2, other.survivors2)]
 
 
-Resolved = tuple[tuple[UnitClass, int], ...]  # an army as (unit class, count) pairs
+Resolved = Sequence[tuple[UnitClass, int]]  # an army as (unit class, count) pairs
 
 
 def _trials(comp1: Resolved, comp2: Resolved, model: ModelId,
@@ -171,14 +171,6 @@ def _run_block(comp1: Resolved, comp2: Resolved, model: ModelId,
     return tally
 
 
-def _compositions(spec: ExperimentSpec, catalog: UnitCatalog) -> tuple[Resolved, Resolved]:
-    army1, army2 = build_armies(spec.matchup, catalog)
-    if army1.defeated or army2.defeated:
-        raise ValueError("both armies must be non-empty")
-    return (tuple(zip(army1.classes, army1.initial_counts)),
-            tuple(zip(army2.classes, army2.initial_counts)))
-
-
 def _blocks(trials: int, n_jobs: int) -> Iterable[tuple[int, int]]:
     size = -(-trials // n_jobs)
     for start in range(0, trials, size):
@@ -192,7 +184,7 @@ def run_experiment(spec: ExperimentSpec, catalog: UnitCatalog,
     ``n_jobs`` > 1 splits the trial range across worker processes; the
     result is identical to a serial run.
     """
-    comp1, comp2 = _compositions(spec, catalog)
+    comp1, comp2 = resolve_matchup(spec.matchup, catalog)
     total = _Tally(len(comp1), len(comp2))
     if n_jobs <= 1 or spec.trials == 1:
         total.merge(_run_block(comp1, comp2, spec.model, spec.master_seed, 0, spec.trials))
@@ -224,8 +216,8 @@ def sample_outcomes(spec: ExperimentSpec, catalog: UnitCatalog) -> dict[tuple, i
     level comparisons. Raises StalemateError if a trial stalemates.
     """
     counts: dict[tuple, int] = {}
-    for outcome in _trials(*_compositions(spec, catalog), spec.model, spec.master_seed,
-                           0, spec.trials):
+    for outcome in _trials(*resolve_matchup(spec.matchup, catalog), spec.model,
+                           spec.master_seed, 0, spec.trials):
         if outcome is None:
             raise StalemateError("a trial ended in a stalemate")
         key = (outcome.winner, outcome.survivors1, outcome.survivors2)

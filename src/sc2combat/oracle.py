@@ -1,9 +1,12 @@
 """Exact outcome distributions for small battles by exhaustive enumeration.
 
-This is a brute-force cross-check for the sampling engine, implemented
-independently of it: instead of drawing targets and kill rolls, it works out
+This is a brute-force cross-check for the sampling engine. It shares the
+engine's rules core: each side is an engine ArmyState, whose effective stats
+are built once per enumeration, and each round's damage pools come from
+engine.compute_pool. What it does on its own is spend those pools: where
+engine.apply_pool draws targets and kill rolls, the enumeration works out
 every target selection and probabilistic kill with exact rational
-arithmetic.
+arithmetic, so comparing the two checks the engine's sampling.
 
 A battle state is (counts1, counts2, first_round). The enumeration
 propagates probability mass forward: it starts with mass 1 on the opening
@@ -28,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import NamedTuple
 
-from .engine import ModelId, TargetPolicy, Winner
+from .engine import ArmyState, ModelId, TargetPolicy, Winner, compute_pool
 from .errors import EnumerationLimitError, StalemateError
-from .scenarios import MatchupSpec, resolve_composition
-from .units import UnitCatalog, UnitClass, effective_bonus_dps, effective_dps, effective_health
+from .scenarios import MatchupSpec, resolve_matchup
+from .units import UnitCatalog, UnitClass
 
 # (winner, survivors1, survivors2)
 Outcome = tuple[Winner, tuple[int, ...], tuple[int, ...]]
@@ -78,72 +80,30 @@ class ExactDistribution:
     def as_floats(self) -> dict[Outcome, float]:
         return {outcome: float(p) for outcome, p in self.outcomes.items()}
 
-
-class _SideStats(NamedTuple):
-    eff_health: tuple[float, ...]
-    eff_dps: tuple[float, ...]
-    eff_bonus_dps: tuple[float, ...]
-    ranged: tuple[bool, ...]
-    attributes: tuple[frozenset[str], ...]
-    bonus_vs: tuple[frozenset[str], ...]
+    def __repr__(self) -> str:
+        # The exact Fractions of a mid-sized battle can outgrow Python's
+        # int-to-str digit limit, so show the outcomes as floats.
+        return f"ExactDistribution(as_floats={self.as_floats()!r})"
 
 
-def _side_stats(composition: list[tuple[UnitClass, int]]) -> tuple[_SideStats, tuple[int, ...]]:
-    units = [u for u, _ in composition]
-    stats = _SideStats(
-        eff_health=tuple(effective_health(u) for u in units),
-        eff_dps=tuple(effective_dps(u) for u in units),
-        eff_bonus_dps=tuple(effective_bonus_dps(u) for u in units),
-        ranged=tuple(u.ranged for u in units),
-        attributes=tuple(u.attributes for u in units),
-        bonus_vs=tuple(u.bonus_vs for u in units),
-    )
-    return stats, tuple(count for _, count in composition)
-
-
-def _round_pool(attacker: _SideStats, atk_counts: tuple[int, ...],
-                defender: _SideStats, def_counts: tuple[int, ...],
-                model: ModelId, first_round: bool) -> float:
-    ranged_gate = model.ranged_first_round and first_round
-    pool = 0.0
-    for i, count in enumerate(atk_counts):
-        if count and (attacker.ranged[i] or not ranged_gate):
-            pool += count * attacker.eff_dps[i]
-    if model.bonus_pools:
-        defenders_alive = sum(def_counts)
-        for i, count in enumerate(atk_counts):
-            if not count or attacker.eff_bonus_dps[i] == 0.0:
-                continue
-            if ranged_gate and not attacker.ranged[i]:
-                continue
-            vulnerable = sum(
-                dc for j, dc in enumerate(def_counts)
-                if dc and not attacker.bonus_vs[i].isdisjoint(defender.attributes[j])
-            )
-            if vulnerable:
-                pool += count * attacker.eff_bonus_dps[i] * (vulnerable / defenders_alive)
-    return pool
-
-
-def _apply_distribution(pool: float, side: _SideStats, counts: tuple[int, ...],
+def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
                         policy: TargetPolicy) -> dict[tuple[int, ...], Fraction]:
-    """Distribution of post-pool counts: every selection/kill branch, exactly."""
+    """Distribution of the counts left when ``pool`` is spent on ``army`` at
+    ``counts``: every selection/kill branch, exactly (melee classes first
+    under MELEE_FIRST, while any is alive)."""
     out: dict[tuple[int, ...], Fraction] = {}
+    melee = army.melee if policy is TargetPolicy.MELEE_FIRST else ()
 
     def expand(pool: float, counts: tuple[int, ...], prob: Fraction) -> None:
         if pool <= 0 or not any(counts):
             out[counts] = out.get(counts, Fraction(0)) + prob
             return
-        if policy is TargetPolicy.MELEE_FIRST:
-            eligible = [i for i, c in enumerate(counts) if c and not side.ranged[i]]
-            if not eligible:
-                eligible = [i for i, c in enumerate(counts) if c]
-        else:
-            eligible = [i for i, c in enumerate(counts) if c]
+        eligible = ([i for i in melee if counts[i]]
+                    or [i for i, c in enumerate(counts) if c])
         total = sum(counts[i] for i in eligible)
         for i in eligible:
             p_select = prob * Fraction(counts[i], total)
-            health = side.eff_health[i]
+            health = army.eff_health[i]
             killed = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
             if pool >= health:
                 expand(pool - health, killed, p_select)
@@ -162,8 +122,8 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
                            model: ModelId,
                            limits: EnumerationLimits = EnumerationLimits()) -> ExactDistribution:
     """Exact outcome distribution for two resolved compositions."""
-    stats1, counts1 = _side_stats(comp1)
-    stats2, counts2 = _side_stats(comp2)
+    army1, army2 = ArmyState(comp1), ArmyState(comp2)
+    counts1, counts2 = army1.initial_counts, army2.initial_counts
     for side, counts in (("army1", counts1), ("army2", counts2)):
         if sum(counts) > limits.max_units_per_side:
             raise EnumerationLimitError(
@@ -187,10 +147,12 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
         if expanded > limits.max_states:
             raise EnumerationLimitError(f"more than {limits.max_states} battle states")
 
-        pool1 = _round_pool(stats1, c1, stats2, c2, model, first_round)
-        pool2 = _round_pool(stats2, c2, stats1, c1, model, first_round)
-        dist2 = _apply_distribution(pool1, stats2, c2, policy)
-        dist1 = _apply_distribution(pool2, stats1, c1, policy)
+        army1.counts[:] = c1
+        army2.counts[:] = c2
+        pool1 = compute_pool(army1, army2, model, first_round)
+        pool2 = compute_pool(army2, army1, model, first_round)
+        dist2 = _apply_distribution(pool1, army2, c2, policy)
+        dist1 = _apply_distribution(pool2, army1, c1, policy)
         self_prob = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
         if self_prob == 1:
             raise StalemateError("neither army can make progress from this state")
@@ -220,7 +182,6 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
 
 def enumerate_exact(matchup: MatchupSpec, model: ModelId, catalog: UnitCatalog,
                     limits: EnumerationLimits = EnumerationLimits()) -> ExactDistribution:
-    """Exact outcome distribution for a matchup resolved against a catalog."""
-    comp1 = resolve_composition(catalog, matchup.army1)
-    comp2 = resolve_composition(catalog, matchup.army2)
-    return enumerate_compositions(comp1, comp2, model, limits)
+    """Exact outcome distribution for a matchup resolved against a catalog
+    (for builtin matchups, the pairing pins each side's race)."""
+    return enumerate_compositions(*resolve_matchup(matchup, catalog), model, limits)

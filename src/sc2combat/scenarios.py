@@ -111,8 +111,9 @@ def resolve_composition(catalog: UnitCatalog, army: Composition,
     return resolved
 
 
-def build_armies(matchup: MatchupSpec, catalog: UnitCatalog) -> tuple[ArmyState, ArmyState]:
-    """Resolve a matchup into two fresh army states.
+def resolve_matchup(matchup: MatchupSpec, catalog: UnitCatalog
+                    ) -> tuple[list[tuple[UnitClass, int]], list[tuple[UnitClass, int]]]:
+    """Look up both armies of a matchup in the catalog.
 
     For builtin matchups the pairing also pins each side's race.
     """
@@ -120,8 +121,13 @@ def build_armies(matchup: MatchupSpec, catalog: UnitCatalog) -> tuple[ArmyState,
     if matchup.pairing is not None:
         race1 = _RACE_BY_LETTER[matchup.pairing[0]]
         race2 = _RACE_BY_LETTER[matchup.pairing[2]]
-    comp1 = resolve_composition(catalog, matchup.army1, race1)
-    comp2 = resolve_composition(catalog, matchup.army2, race2)
+    return (resolve_composition(catalog, matchup.army1, race1),
+            resolve_composition(catalog, matchup.army2, race2))
+
+
+def build_armies(matchup: MatchupSpec, catalog: UnitCatalog) -> tuple[ArmyState, ArmyState]:
+    """Resolve a matchup (see resolve_matchup) into two fresh army states."""
+    comp1, comp2 = resolve_matchup(matchup, catalog)
     return ArmyState(comp1), ArmyState(comp2)
 
 

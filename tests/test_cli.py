@@ -104,6 +104,21 @@ class TestRun:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize("flags, trials, seed", [
+        (("--seed", "7", "--trials", "30"), 30, 7),
+        (("--seed", "0"), 50, 0),
+        ((), 50, 42),
+    ])
+    def test_flags_override_scenario_values(self, capsys, tmp_path, flags, trials, seed):
+        # a flag that was given wins (a zero seed too), else the file's value
+        path = tmp_path / "battle.yaml"
+        path.write_text(SCENARIO)
+        code, out, _ = run_cli(capsys, "run", "--scenario", str(path), *flags,
+                               "--format", "json")
+        assert code == 0
+        record = json.loads(out)[0]
+        assert (record["trials"], record["seed"]) == (trials, seed)
+
     def test_model_flag_overrides_scenario(self, capsys, tmp_path):
         path = tmp_path / "battle.yaml"
         path.write_text(SCENARIO)

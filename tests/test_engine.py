@@ -74,6 +74,25 @@ class TestComputePool:
         other = army((make_unit("x"), 1))
         assert compute_pool(a, other, ModelId.APX1, False) == 8.0
 
+    @pytest.mark.parametrize("model, first, later", [
+        (ModelId.APX1, 13.0, 13.0),
+        (ModelId.APX2, 5.0, 13.0),
+        (ModelId.APX3, 7.5, 20.0),
+        (ModelId.APX4, 7.5, 20.0),
+    ])
+    def test_mixed_bonus_pools_by_hand(self, model, first, later):
+        # DPS 2*4 + 1*2 + 3*1 = 13, of which 5 is ranged. Bonus: 2 melee x 3
+        # on 3 of 4 light defenders = 4.5, 1 ranged x 5 on 2 of 4 armored = 2.5.
+        attacker = army(
+            (make_unit("m", dps=4.0, bonus=3.0, bonus_vs=("light",)), 2),
+            (make_unit("r", dps=2.0, ranged=True, bonus=5.0, bonus_vs=("armored",)), 1),
+            (make_unit("p", dps=1.0, ranged=True), 3))
+        defender = army((make_unit("l", attrs=("light",)), 2),
+                        (make_unit("a", attrs=("armored",)), 1),
+                        (make_unit("la", attrs=("light", "armored")), 1))
+        assert compute_pool(attacker, defender, model, True) == first
+        assert compute_pool(attacker, defender, model, False) == later
+
 
 class TestBonusPool:
     def test_half_vulnerable_gives_half_bonus(self, catalog):

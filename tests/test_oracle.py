@@ -7,6 +7,7 @@ from sc2combat import (
     EnumerationLimits,
     MatchupSpec,
     ModelId,
+    ScenarioError,
     StalemateError,
     UnitCatalog,
     Winner,
@@ -147,6 +148,24 @@ def test_enumerate_exact_resolves_matchup():
     matchup = MatchupSpec(army1=(("alpha", 1),), army2=(("beta", 1),))
     dist = enumerate_exact(matchup, ModelId.APX1, catalog)
     assert dist.winner_probability(Winner.ARMY1) == Fraction(1, 2)
+
+
+def test_enumerate_exact_pins_builtin_races(catalog):
+    # the same race check as build_armies: a PvT matchup with a terran army1
+    bad = MatchupSpec(army1=(("marine", 1),), army2=(("zealot", 1),),
+                      round=1, pairing="PvT")
+    with pytest.raises(ScenarioError, match="terran"):
+        enumerate_exact(bad, ModelId.APX1, catalog)
+
+
+def test_repr_of_a_mid_sized_battle(catalog):
+    # its exact Fractions have more digits than Python's int-to-str limit
+    dist = enumerate_compositions([(catalog["zealot"], 3), (catalog["stalker"], 3)],
+                                  [(catalog["marine"], 3), (catalog["marauder"], 3)],
+                                  ModelId.APX1, EnumerationLimits(8, 200_000))
+    text = repr(dist)
+    assert text.startswith("ExactDistribution(as_floats={")
+    assert all(isinstance(p, Fraction) for p in dist.outcomes.values())
 
 
 def test_degeneracy_spot_checks():
