@@ -22,7 +22,8 @@ import yaml
 from . import report
 from .engine import ModelId
 from .errors import CombatError
-from .montecarlo import SEED_LIMIT, AggregateResult, ExperimentSpec, run_experiment
+from .montecarlo import (SEED_LIMIT, AggregateResult, ExperimentSpec, run_experiment,
+                         run_experiments)
 from .scenarios import PAIRINGS, builtin_matchups, load_scenario, reference_table
 from .units import (
     UnitCatalog,
@@ -95,8 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run fresh simulations instead of the bundled model rows")
     p_mae.add_argument("--chart", action="store_true", help="append a plain-text bar chart")
     _add_common(p_mae)
-    # --simulate runs every builtin matchup under every model
-    p_mae.set_defaults(func=_cmd_mae, model="all", round_="all", match="all")
+    # --simulate runs every builtin matchup under every model; None marks a
+    # simulation flag not given, which _cmd_mae requires without --simulate
+    p_mae.set_defaults(func=_cmd_mae, model="all", round_="all", match="all",
+                       trials=None, seed=None, jobs=None)
 
     p_units = sub.add_parser("list-units", help="show the unit catalog")
     _add_common(p_units, simulation=False)
@@ -131,10 +134,10 @@ def _run_selected(args: argparse.Namespace, catalog: UnitCatalog) -> list[Aggreg
     matchups = [m for m in builtin_matchups()
                 if args.round_ in ("all", str(m.round))
                 and args.match in ("all", m.pairing.lower())]
-    return [run_experiment(ExperimentSpec(matchup=matchup, model=model,
-                                          trials=args.trials, master_seed=args.seed),
-                           catalog, n_jobs=args.jobs)
-            for model in models for matchup in matchups]
+    specs = [ExperimentSpec(matchup=matchup, model=model,
+                            trials=args.trials, master_seed=args.seed)
+             for model in models for matchup in matchups]
+    return run_experiments(specs, catalog, n_jobs=args.jobs)
 
 
 def _survivor_cells(means: tuple[float, ...] | None, fmt: str) -> list[object]:
@@ -242,8 +245,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_mae(args: argparse.Namespace) -> int:
     reference = reference_table()
     if args.simulate:
+        args.trials = _first_given(args.trials, _DEFAULT_TRIALS)
+        args.seed = _first_given(args.seed, _DEFAULT_SEED)
+        args.jobs = _first_given(args.jobs, 1)
         summary = report.mae_by_model(reference, _run_selected(args, _catalog_from(args)))
     else:
+        given = [f"--{flag}" for flag in ("trials", "seed", "jobs")
+                 if getattr(args, flag) is not None]
+        if given:
+            print(f"error: --simulate is required by {', '.join(given)}", file=sys.stderr)
+            return 2
         summary = report.mae_by_model(reference)
     columns = ("model", "mae")
     rows = [

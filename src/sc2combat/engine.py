@@ -118,9 +118,6 @@ class ArmyState:
     def total_units(self) -> int:
         return sum(self.counts)
 
-    def total_effective_health(self) -> float:
-        return sum(c * h for c, h in zip(self.counts, self.eff_health))
-
     @property
     def defeated(self) -> bool:
         return self.total_units() == 0

@@ -3,8 +3,12 @@
 Each trial gets its own random stream, keyed by (master seed, trial index)
 through a hash so that streams are independent of execution order: running
 trials serially, in any order, or across worker processes produces the same
-per-trial outcomes. Aggregation only ever sums integers, so merged partial
-results are identical no matter how the trials were partitioned.
+per-trial outcomes. One loop runs every trial: it counts the terminal
+outcomes of a block of trials. ``run_experiments`` splits each spec into
+blocks, runs the blocks of all specs on one process pool, and sums each
+spec's counts; summing is order-independent, so results are identical no
+matter how the trials were partitioned. ``sample_outcomes`` returns the
+counts of one serial block.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Optional, Sequence
 
-from .engine import ArmyState, ModelId, TrialOutcome, Winner, run_trial
+from .engine import ArmyState, ModelId, Winner, run_trial
 from .errors import StalemateError
 from .scenarios import MatchupSpec, resolve_matchup
 from .units import UnitCatalog, UnitClass
@@ -108,118 +113,98 @@ class AggregateResult:
         return tuple(s / self.win2_count for s in self.survivors2_sum)
 
 
-class _Tally:
-    """Order-independent integer accumulators for trial outcomes."""
-
-    __slots__ = ("win1", "win2", "draw", "stalemate", "survivors1", "survivors2")
-
-    def __init__(self, classes1: int, classes2: int):
-        self.win1 = 0
-        self.win2 = 0
-        self.draw = 0
-        self.stalemate = 0
-        self.survivors1 = [0] * classes1
-        self.survivors2 = [0] * classes2
-
-    def record(self, outcome: TrialOutcome | None) -> None:
-        """Tally one trial; None stands for a stalemate, counted as a draw."""
-        if outcome is None:
-            self.draw += 1
-            self.stalemate += 1
-        elif outcome.winner is Winner.ARMY1:
-            self.win1 += 1
-            for i, count in enumerate(outcome.survivors1):
-                self.survivors1[i] += count
-        elif outcome.winner is Winner.ARMY2:
-            self.win2 += 1
-            for i, count in enumerate(outcome.survivors2):
-                self.survivors2[i] += count
-        else:
-            self.draw += 1
-
-    def merge(self, other: "_Tally") -> None:
-        self.win1 += other.win1
-        self.win2 += other.win2
-        self.draw += other.draw
-        self.stalemate += other.stalemate
-        self.survivors1 = [a + b for a, b in zip(self.survivors1, other.survivors1)]
-        self.survivors2 = [a + b for a, b in zip(self.survivors2, other.survivors2)]
-
-
 Resolved = Sequence[tuple[UnitClass, int]]  # an army as (unit class, count) pairs
+Outcome = Optional[tuple[Winner, tuple[int, ...], tuple[int, ...]]]  # None: a stalemate
 
 
-def _trials(comp1: Resolved, comp2: Resolved, model: ModelId,
-            master_seed: int, start: int, stop: int) -> Iterator[TrialOutcome | None]:
-    """Outcome of each trial in ``start:stop``, None for a stalemate. Both
-    army states are built once and reset in place before each trial."""
+def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId,
+                    master_seed: int, start: int, stop: int) -> Counter[Outcome]:
+    """How often each ``(winner, survivors1, survivors2)`` outcome ends the
+    trials ``start:stop``, with None counting stalemates. Both army states
+    are built once and reset in place before each trial."""
     army1, army2 = ArmyState(comp1), ArmyState(comp2)
+    counts: Counter[Outcome] = Counter()
     for index in range(start, stop):
         army1.counts[:] = army1.initial_counts
         army2.counts[:] = army2.initial_counts
         try:
-            yield run_trial(army1, army2, model, trial_rng(master_seed, index))
+            outcome = run_trial(army1, army2, model, trial_rng(master_seed, index))
         except StalemateError:
-            yield None
+            counts[None] += 1
+        else:
+            counts[outcome.winner, outcome.survivors1, outcome.survivors2] += 1
+    return counts
 
 
-def _run_block(comp1: Resolved, comp2: Resolved, model: ModelId,
-               master_seed: int, start: int, stop: int) -> _Tally:
-    tally = _Tally(len(comp1), len(comp2))
-    for outcome in _trials(comp1, comp2, model, master_seed, start, stop):
-        tally.record(outcome)
-    return tally
+def _aggregate(spec: ExperimentSpec, counts: Counter[Outcome],
+               classes1: int, classes2: int) -> AggregateResult:
+    wins: Counter[Winner] = Counter()
+    survivors1, survivors2 = [0] * classes1, [0] * classes2
+    for outcome, n in counts.items():
+        if outcome is None:
+            continue
+        winner, alive1, alive2 = outcome
+        wins[winner] += n
+        if winner is Winner.ARMY1:
+            survivors1 = [s + n * a for s, a in zip(survivors1, alive1)]
+        elif winner is Winner.ARMY2:
+            survivors2 = [s + n * a for s, a in zip(survivors2, alive2)]
+    return AggregateResult(
+        spec=spec,
+        win1_count=wins[Winner.ARMY1],
+        win2_count=wins[Winner.ARMY2],
+        draw_count=wins[Winner.DRAW] + counts[None],
+        stalemate_count=counts[None],
+        survivors1_sum=tuple(survivors1),
+        survivors2_sum=tuple(survivors2),
+    )
 
 
-def _blocks(trials: int, n_jobs: int) -> Iterable[tuple[int, int]]:
-    size = -(-trials // n_jobs)
-    for start in range(0, trials, size):
-        yield start, min(start + size, trials)
+def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
+                    n_jobs: int = 1) -> list[AggregateResult]:
+    """Run all trials of every experiment and aggregate each one.
+
+    ``n_jobs`` > 1 splits each spec's trials into ``n_jobs`` blocks and runs
+    the blocks of all specs on one pool of worker processes. A spec's result
+    is the sum of its blocks' outcome counts, so it is identical to a
+    serial run for any ``n_jobs``.
+    """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    resolved = [resolve_matchup(spec.matchup, catalog) for spec in specs]
+    blocks = []  # (spec index, arguments of _count_outcomes)
+    for k, (spec, (comp1, comp2)) in enumerate(zip(specs, resolved)):
+        size = -(-spec.trials // n_jobs)
+        blocks += [(k, (comp1, comp2, spec.model, spec.master_seed,
+                        start, min(start + size, spec.trials)))
+                   for start in range(0, spec.trials, size)]
+    totals: list[Counter[Outcome]] = [Counter() for _ in specs]
+    if n_jobs == 1 or len(blocks) <= 1:
+        for k, args in blocks:
+            totals[k].update(_count_outcomes(*args))
+    else:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            futures = [(k, pool.submit(_count_outcomes, *args)) for k, args in blocks]
+            for k, future in futures:
+                totals[k].update(future.result())
+    return [_aggregate(spec, total, len(comp1), len(comp2))
+            for spec, total, (comp1, comp2) in zip(specs, totals, resolved)]
 
 
 def run_experiment(spec: ExperimentSpec, catalog: UnitCatalog,
                    n_jobs: int = 1) -> AggregateResult:
-    """Run all trials of an experiment and aggregate them.
-
-    ``n_jobs`` > 1 splits the trial range across worker processes; the
-    result is identical to a serial run.
-    """
-    comp1, comp2 = resolve_matchup(spec.matchup, catalog)
-    total = _Tally(len(comp1), len(comp2))
-    if n_jobs <= 1 or spec.trials == 1:
-        total.merge(_run_block(comp1, comp2, spec.model, spec.master_seed, 0, spec.trials))
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(_run_block, comp1, comp2, spec.model,
-                            spec.master_seed, start, stop)
-                for start, stop in _blocks(spec.trials, n_jobs)
-            ]
-            for future in futures:
-                total.merge(future.result())
-
-    return AggregateResult(
-        spec=spec,
-        win1_count=total.win1,
-        win2_count=total.win2,
-        draw_count=total.draw,
-        stalemate_count=total.stalemate,
-        survivors1_sum=tuple(total.survivors1),
-        survivors2_sum=tuple(total.survivors2),
-    )
+    """Run all trials of one experiment; see ``run_experiments``."""
+    return run_experiments([spec], catalog, n_jobs)[0]
 
 
-def sample_outcomes(spec: ExperimentSpec, catalog: UnitCatalog) -> dict[tuple, int]:
+def sample_outcomes(spec: ExperimentSpec, catalog: UnitCatalog) -> dict[Outcome, int]:
     """Frequency of each terminal (winner, survivors1, survivors2) outcome.
 
     Counterpart of the oracle's ExactDistribution keys, for distribution-
     level comparisons. Raises StalemateError if a trial stalemates.
     """
-    counts: dict[tuple, int] = {}
-    for outcome in _trials(*resolve_matchup(spec.matchup, catalog), spec.model,
-                           spec.master_seed, 0, spec.trials):
-        if outcome is None:
-            raise StalemateError("a trial ended in a stalemate")
-        key = (outcome.winner, outcome.survivors1, outcome.survivors2)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    counts = _count_outcomes(*resolve_matchup(spec.matchup, catalog), spec.model,
+                             spec.master_seed, 0, spec.trials)
+    if None in counts:
+        raise StalemateError("a trial ended in a stalemate")
+    return dict(counts)

@@ -3,11 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import math
 import random
 import re
 from pathlib import Path
 
+import sc2combat.engine
 from sc2combat import (
     ExperimentSpec,
     MatchupSpec,
@@ -23,11 +23,13 @@ from sc2combat import (
 from sc2combat.units import default_catalog, effective_bonus_dps, effective_dps, effective_health
 
 from conftest import make_unit
+from family_check import binomial_p, bonferroni_failures
 from invariant_props import PROPERTIES
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "reproduction.md"
 
 ORACLE_TRIALS = 10_000
+ORACLE_ALPHA = 1e-3  # chance that a correct sampler fails criterion 1
 
 
 def _tiny_unit(rng, name):
@@ -72,29 +74,58 @@ def _as_experiment(comp1, comp2, model, trials, seed):
                           trials=trials, master_seed=seed), catalog
 
 
-def test_criterion_1_oracle_equivalence():
-    """MC outcome probabilities match exact enumeration within 3-sigma."""
+def _oracle_cases(models=tuple(ModelId)):
+    """The 20 tiny matchups under each model, with their exact outcome
+    probabilities: (case index, model, comp1, comp2, exact)."""
     rng = random.Random(20250810)
     cases = [_tiny_compositions(rng) for _ in range(20)]
-    checked = 0
-    for index, (comp1, comp2) in enumerate(cases):
-        for model in ModelId:
-            exact = enumerate_compositions(comp1, comp2, model).as_floats()
-            spec, catalog = _as_experiment(comp1, comp2, model,
-                                           ORACLE_TRIALS, seed=3000 + index)
-            sampled = sample_outcomes(spec, catalog)
-            assert sum(sampled.values()) == ORACLE_TRIALS
-            for outcome in set(exact) | set(sampled):
-                p = exact.get(outcome, 0.0)
-                p_hat = sampled.get(outcome, 0) / ORACLE_TRIALS
-                tolerance = 3 * math.sqrt(p * (1 - p) / ORACLE_TRIALS)
-                assert abs(p_hat - p) <= tolerance, (
-                    f"case {index} {model.name} outcome {outcome}: "
-                    f"sampled {p_hat} vs exact {p} (tol {tolerance})"
-                )
-                checked += 1
-    print(f"\nACCEPTANCE 1 PASS: {len(cases)} tiny matchups x 4 models, "
-          f"{checked} outcome probabilities within 3-sigma of the oracle at N={ORACLE_TRIALS}")
+    return [(index, model, comp1, comp2,
+             enumerate_compositions(comp1, comp2, model).as_floats())
+            for index, (comp1, comp2) in enumerate(cases) for model in models]
+
+
+def _oracle_p_values(cases, seed_base):
+    """An exact binomial p-value for each outcome that is possible or was
+    sampled, the sampler running case i at master seed seed_base + i."""
+    p_values = []
+    for index, model, comp1, comp2, exact in cases:
+        spec, catalog = _as_experiment(comp1, comp2, model,
+                                       ORACLE_TRIALS, seed=seed_base + index)
+        sampled = sample_outcomes(spec, catalog)
+        assert sum(sampled.values()) == ORACLE_TRIALS
+        for outcome in set(exact) | set(sampled):
+            p_values.append((f"case {index} {model.name} outcome {outcome}",
+                             binomial_p(sampled.get(outcome, 0), ORACLE_TRIALS,
+                                        exact.get(outcome, 0.0))))
+    return p_values
+
+
+def test_criterion_1_oracle_equivalence():
+    """MC outcome frequencies match exact enumeration: every outcome's exact
+    binomial test passes at a Bonferroni-corrected family-wise alpha."""
+    p_values = _oracle_p_values(_oracle_cases(), seed_base=3000)
+    failures = bonferroni_failures(p_values, ORACLE_ALPHA)
+    assert not failures, failures
+    print(f"\nACCEPTANCE 1 PASS: 20 tiny matchups x 4 models, {len(p_values)} outcome "
+          f"frequencies match the oracle at family-wise alpha {ORACLE_ALPHA}, N={ORACLE_TRIALS}")
+
+
+def test_criterion_1_catches_unscaled_bonus_pools(monkeypatch):
+    """The same check fails a sampler whose APX3 bonus pools skip the
+    vulnerable-share scaling (the oracle runs before the fault is planted)."""
+    cases = _oracle_cases(models=(ModelId.APX3,))
+
+    def unscaled(attacker, defender, ranged_only):
+        total = 0.0
+        for i, targets in attacker.bonus_targets(defender):
+            count = attacker.counts[i]
+            if (count and (attacker.ranged[i] or not ranged_only)
+                    and any(defender.counts[j] for j in targets)):
+                total += count * attacker.eff_bonus_dps[i]
+        return total
+
+    monkeypatch.setattr(sc2combat.engine, "bonus_pool", unscaled)
+    assert bonferroni_failures(_oracle_p_values(cases, seed_base=3000), ORACLE_ALPHA)
 
 
 def test_criterion_2_determinism():

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, default_catalog, report,
+import sc2combat.montecarlo as montecarlo
+from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_catalog, report,
                        reference_table, run_experiment)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
 from sc2combat.units import DEFAULT_CATALOG_ENV
@@ -226,6 +228,23 @@ class TestCompare:
         assert abs(float(row["delta_vs_test"]) - abs(sim - test)) <= 0.01
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1)])
+    def test_one_pool_per_command(self, capsys, monkeypatch, jobs, pools):
+        built = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        argv = ("reproduce", "--round", "1", "--trials", "6")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        assert run_cli(capsys, *argv, "--jobs", jobs) == serial
+        assert len(built) == pools
+
+
 class TestMae:
     def test_from_reference_ordering(self, capsys):
         code, out, _ = run_cli(capsys, "mae", "--format", "json")
@@ -245,6 +264,28 @@ class TestMae:
         records = json.loads(out)
         assert len(records) == 4
         assert all(0.0 <= r["mae"] <= 1.0 for r in records)
+
+    @pytest.mark.parametrize("flags", [("--trials", "5"), ("--seed", "3"), ("--jobs", "2"),
+                                       ("--trials", "5", "--seed", "3", "--jobs", "2")])
+    def test_simulation_flags_need_simulate(self, capsys, flags):
+        code, out, err = run_cli(capsys, "mae", *flags)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--simulate" in lines[0] and flags[0] in lines[0]
+
+    def test_simulate_defaults(self, capsys, monkeypatch):
+        seen = []
+
+        def one_trial_each(specs, catalog, n_jobs):
+            seen.append((specs, n_jobs))
+            return [run_experiment(replace(s, trials=1), catalog) for s in specs]
+
+        monkeypatch.setattr(cli, "run_experiments", one_trial_each)
+        assert run_cli(capsys, "mae", "--simulate")[0] == 0
+        (specs, n_jobs), = seen
+        assert len(specs) == 48 and n_jobs == 1
+        assert {(s.trials, s.master_seed) for s in specs} == {(1000, 0)}
 
     def test_simulate_matches_mae_by_model(self, capsys):
         code, out, _ = run_cli(capsys, "mae", "--simulate", "--trials", "10", "--seed", "4")

@@ -300,7 +300,3 @@ class TestArmyState:
         assert attacker.bonus_targets(defender) is table
         other = army((make_unit("lite", attrs=("light",)), 1))
         assert attacker.bonus_targets(other) == ((0, (0,)),)
-
-    def test_total_effective_health(self):
-        a = army((make_unit("a", health=100, armor=1), 2))
-        assert a.total_effective_health() == 300.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from sc2combat import (
     UnitCatalog,
     Winner,
     run_experiment,
+    run_experiments,
     sample_outcomes,
     trial_rng,
     trial_seed,
@@ -96,6 +98,25 @@ class TestRunExperiment:
         serial = run_experiment(spec, tiny_catalog(), n_jobs=1)
         parallel = run_experiment(spec, tiny_catalog(), n_jobs=3)
         assert serial == parallel
+        # a repeated spec, a 1-trial spec, fewer trials than workers, a stalemate
+        specs = [spec,
+                 replace(spec, trials=1),
+                 replace(spec, model=ModelId.APX1, trials=2, master_seed=4),
+                 spec,
+                 ExperimentSpec(matchup=matchup([("inert", 1)], [("inert", 1)]),
+                                model=ModelId.APX1, trials=3)]
+        expected = [run_experiment(s, tiny_catalog()) for s in specs]
+        for n_jobs in (1, 2, 3):
+            assert run_experiments(specs, tiny_catalog(), n_jobs=n_jobs) == expected
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, n_jobs):
+        spec = ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
+                              model=ModelId.APX1, trials=10)
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_experiment(spec, tiny_catalog(), n_jobs=n_jobs)
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_experiments([], tiny_catalog(), n_jobs=n_jobs)
 
     def test_different_seeds_agree_within_six_sigma(self):
         results = []
