@@ -17,8 +17,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import yaml
-
 from . import report
 from .engine import ModelId
 from .errors import CombatError
@@ -317,10 +315,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except CombatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, yaml.YAMLError) as exc:
+    except (CombatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,6 @@ import hashlib
 import random
 import struct
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,11 +59,12 @@ class ExperimentSpec:
 class AggregateResult:
     """Win/draw tallies and survivor sums over an experiment's trials.
 
-    Stalemated trials (round cap hit with both armies standing) count as
-    draws and are additionally tallied in ``stalemate_count``. Survivor
-    sums accumulate per-class counts only over trials the army won, so
-    ``mean_survivors*`` are win-conditioned means (None if that army never
-    won).
+    Stalemated trials count as draws and are additionally tallied in
+    ``stalemate_count``. A trial stalemates when ``run_trial`` raises
+    StalemateError: both pools are 0 in a round after the first, or the
+    round cap is hit with both armies standing. Survivor sums accumulate
+    per-class counts only over trials the army won, so ``mean_survivors*``
+    are win-conditioned means (None if that army never won).
     """
 
     spec: ExperimentSpec
@@ -183,6 +183,8 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
         for k, args in blocks:
             totals[k].update(_count_outcomes(*args))
     else:
+        # imported here: it loads multiprocessing, ~30 ms that serial runs need not pay
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [(k, pool.submit(_count_outcomes, *args)) for k, args in blocks]
             for k, future in futures:

@@ -10,17 +10,13 @@ are diffable, and are validated against count and sum invariants at load.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import IO, Union
 
-import yaml
-
 from .engine import ArmyState, ModelId
 from .errors import ScenarioError
-from .units import Race, UnitCatalog, UnitClass
+from .units import Race, UnitCatalog, UnitClass, bundled_yaml, read_yaml
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
@@ -142,28 +138,9 @@ def _parse_army(doc: object, context: str) -> Composition:
     return tuple(army)
 
 
-def _load_yaml(source: ScenarioSource, what: str) -> object:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{what} is not valid YAML: {exc}") from exc
-
-
-@functools.cache
-def _bundled(name: str) -> object:
-    """A bundled YAML file, parsed once per process. The document is shared:
-    callers build new objects from it and never mutate it."""
-    text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
-    return yaml.safe_load(text)
-
-
 def builtin_matchups() -> list[MatchupSpec]:
     """The 12 benchmark matchups (4 rounds x PvT, TvZ, PvZ)."""
-    doc = _bundled("matchups.yaml")
+    doc = bundled_yaml("matchups.yaml")
     matchups = [
         MatchupSpec(
             army1=_parse_army(entry["army1"], "army1"),
@@ -200,7 +177,7 @@ def _normalize_pairing(text: str) -> str:
 
 def reference_table() -> list[ReferenceRow]:
     """All 60 bundled reference rows (12 matchups x Test + APX1..APX4)."""
-    doc = _bundled("reference_table.yaml")
+    doc = bundled_yaml("reference_table.yaml")
     rows = [
         ReferenceRow(
             round=int(entry["round"]),
@@ -233,7 +210,7 @@ def load_scenario(source: ScenarioSource, catalog: UnitCatalog) -> Scenario:
     The document holds ``army1`` and ``army2`` mappings of unit name to
     count, plus optional ``model``, ``trials``, ``seed`` and ``name`` keys.
     """
-    doc = _load_yaml(source, "scenario")
+    doc = read_yaml(source, "scenario", ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     unknown = doc.keys() - {"army1", "army2", "model", "trials", "seed", "name"}

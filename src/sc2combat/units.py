@@ -10,6 +10,7 @@ against tagged targets.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,7 +19,7 @@ from typing import IO, Iterable, Union
 
 import yaml
 
-from .errors import CatalogError
+from .errors import CatalogError, CombatError
 
 # Each point of armor multiplies surviving power by this factor.
 ARMOR_HEALTH_FACTOR = 1.5
@@ -31,6 +32,10 @@ _RECORD_KEYS = {
 }
 
 CatalogSource = Union[str, Path, IO[str]]
+
+# libyaml's C parser when PyYAML was built with it, else the pure-Python one;
+# both build the same documents, and the C one parses the bundled files ~7x faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class Race(enum.Enum):
@@ -155,6 +160,43 @@ def _parse_record(record: object) -> UnitClass:
         raise CatalogError(f"{record.get('name', '?')}: bad field value ({exc})") from exc
 
 
+def parse_yaml(text: str, what: str, error: type[CombatError]) -> object:
+    """Parse one YAML document; a syntax error raises ``error``."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise error(f"{what} is not valid YAML: {exc}") from exc
+
+
+def read_yaml(source: CatalogSource, what: str, error: type[CombatError]) -> object:
+    """Read a UTF-8 YAML path or open text stream and parse it; text that
+    does not decode or parse raises ``error``."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc}") from exc
+    return parse_yaml(text, what, error)
+
+
+@functools.cache
+def bundled_yaml(name: str) -> object:
+    """A bundled data file, parsed once per process. The document is shared:
+    callers build new objects from it and never mutate it."""
+    text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
+    return parse_yaml(text, name, CombatError)
+
+
+def _catalog_from(doc: object) -> UnitCatalog:
+    if doc is None:
+        return UnitCatalog()
+    if not isinstance(doc, list):
+        raise CatalogError("catalog document must be a list of unit records")
+    return UnitCatalog(_parse_record(record) for record in doc)
+
+
 def load_catalog(source: CatalogSource) -> UnitCatalog:
     """Load a catalog from a YAML path or open text stream.
 
@@ -162,24 +204,12 @@ def load_catalog(source: CatalogSource) -> UnitCatalog:
     ``data/units.yaml`` for the schema. An empty document is a valid,
     empty catalog.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    return loads_catalog(text)
+    return _catalog_from(read_yaml(source, "catalog", CatalogError))
 
 
 def loads_catalog(text: str) -> UnitCatalog:
     """Parse a catalog from YAML text."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise CatalogError(f"catalog is not valid YAML: {exc}") from exc
-    if doc is None:
-        return UnitCatalog()
-    if not isinstance(doc, list):
-        raise CatalogError("catalog document must be a list of unit records")
-    return UnitCatalog(_parse_record(record) for record in doc)
+    return _catalog_from(parse_yaml(text, "catalog", CatalogError))
 
 
 def dumps_catalog(catalog: UnitCatalog) -> str:
@@ -209,9 +239,12 @@ def default_catalog_path() -> str | None:
 
 
 def default_catalog() -> UnitCatalog:
-    """The bundled Wings-of-Liberty-era catalog, unless overridden by env var."""
+    """The bundled Wings-of-Liberty-era catalog, unless overridden by env var.
+
+    The bundled file is parsed once per process; an override is read on
+    every call. Each call returns a new catalog.
+    """
     override = default_catalog_path()
     if override:
         return load_catalog(override)
-    text = resources.files("sc2combat.data").joinpath("units.yaml").read_text(encoding="utf-8")
-    return loads_catalog(text)
+    return _catalog_from(bundled_yaml("units.yaml"))

@@ -1,11 +1,15 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-import sc2combat.montecarlo as montecarlo
 from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_catalog, report,
                        reference_table, run_experiment)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
@@ -22,6 +26,9 @@ model: apx4
 trials: 50
 seed: 42
 """
+
+# a UTF-16 byte order mark: not UTF-8 text
+UNDECODABLE = b"\xff\xfe" + "army1: {}\n".encode("utf-16-le")
 
 TINY_CATALOG = """
 - name: zealot
@@ -43,6 +50,13 @@ def run_cli(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(result, prefix):
+    code, out, err = result
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
 
 
 class TestListCommands:
@@ -72,6 +86,19 @@ class TestListCommands:
         assert code == 0
         assert len(json.loads(out)) == 1
 
+    def test_undecodable_catalog_flag_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_bytes(UNDECODABLE)
+        assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
+                              "error: catalog is not UTF-8 text: ")
+
+    def test_undecodable_env_var_catalog_is_data_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "tiny.yaml"
+        path.write_bytes(UNDECODABLE)
+        monkeypatch.setenv(DEFAULT_CATALOG_ENV, str(path))
+        assert_one_error_line(run_cli(capsys, "list-units"),
+                              "error: catalog is not UTF-8 text: ")
+
 
 class TestRun:
     def test_scenario_runs(self, capsys, tmp_path):
@@ -90,6 +117,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--scenario", "missing.scn")
         assert code == 1
         assert "error" in err
+
+    def test_undecodable_scenario_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "battle.yaml"
+        path.write_bytes(UNDECODABLE)
+        assert_one_error_line(run_cli(capsys, "run", "--scenario", str(path)),
+                              "error: scenario is not UTF-8 text: ")
 
     def test_unknown_unit_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "battle.yaml"
@@ -233,16 +266,26 @@ class TestWorkerPool:
     def test_one_pool_per_command(self, capsys, monkeypatch, jobs, pools):
         built = []
 
-        class CountingPool(montecarlo.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
         argv = ("reproduce", "--round", "1", "--trials", "6")
         serial = run_cli(capsys, *argv, "--jobs", "1")
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         assert run_cli(capsys, *argv, "--jobs", jobs) == serial
         assert len(built) == pools
+
+    def test_cli_import_loads_no_pool_machinery(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, sc2combat.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMae:

@@ -2,11 +2,12 @@ import io
 
 import pytest
 
-import sc2combat.scenarios as scenarios
+import sc2combat.units as units
 from sc2combat import (
     ModelId,
     ScenarioError,
     builtin_matchups,
+    default_catalog,
     find_matchup,
     find_reference_row,
     load_scenario,
@@ -89,16 +90,27 @@ class TestReferenceTable:
 
 
 class TestBundledDataCache:
-    def test_repeated_lookups_parse_yaml_once(self, monkeypatch):
-        parsed = []
-        original = scenarios.yaml.safe_load
-        monkeypatch.setattr(scenarios.yaml, "safe_load",
-                            lambda text: parsed.append(text) or original(text))
-        scenarios._bundled.cache_clear()
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The names of the documents parsed from here on, with a cold cache."""
+        names = []
+        original = units.parse_yaml
+        monkeypatch.setattr(units, "parse_yaml",
+                            lambda text, what, error: names.append(what)
+                            or original(text, what, error))
+        units.bundled_yaml.cache_clear()
+        return names
+
+    def test_repeated_lookups_parse_yaml_once(self, parsed):
         for _ in range(3):
             assert find_matchup(1, "PvT").round == 1
             assert find_reference_row(1, "Test", "PvT").win1 == 0.92
         assert len(parsed) == 2
+
+    def test_default_catalog_parses_units_once(self, parsed):
+        first, second = default_catalog(), default_catalog()
+        assert parsed == ["units.yaml"]
+        assert first is not second and first == second
 
     def test_each_call_returns_a_new_list(self):
         matchups = builtin_matchups()

@@ -1,11 +1,15 @@
 import io
+from importlib import resources
 
 import pytest
+import yaml
 
+import sc2combat.units as units
 from sc2combat import (
     CatalogError,
     Race,
     UnitCatalog,
+    builtin_matchups,
     default_catalog,
     dumps_catalog,
     effective_bonus_dps,
@@ -13,6 +17,7 @@ from sc2combat import (
     effective_health,
     load_catalog,
     loads_catalog,
+    reference_table,
 )
 from sc2combat.units import DEFAULT_CATALOG_ENV
 
@@ -119,7 +124,7 @@ class TestLoading:
             loads_catalog(ZEALOT_YAML.replace("protoss", "xelnaga"))
 
     def test_not_yaml(self):
-        with pytest.raises(CatalogError, match="YAML"):
+        with pytest.raises(CatalogError, match="^catalog is not valid YAML: "):
             loads_catalog("{unclosed")
 
     def test_not_a_list(self):
@@ -160,3 +165,45 @@ class TestDefaultCatalog:
         path.write_text(ZEALOT_YAML)
         monkeypatch.setenv(DEFAULT_CATALOG_ENV, str(path))
         assert default_catalog().names() == ["zealot"]
+
+
+class TestYamlLoader:
+    SCENARIO = """
+name: skirmish
+army1: {zealot: 8, stalker: 2}
+army2:
+  marine: 12
+  marauder: 4
+model: apx4
+trials: 1000
+seed: 42
+"""
+
+    @pytest.mark.parametrize("name", ["units.yaml", "matchups.yaml", "reference_table.yaml"])
+    def test_chosen_loader_matches_pure_python_on_bundled_files(self, name):
+        text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
+        chosen = yaml.load(text, Loader=units._YAML_LOADER)
+        assert chosen == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_chosen_loader_matches_pure_python_on_a_scenario(self):
+        doc = yaml.load(self.SCENARIO, Loader=units._YAML_LOADER)
+        assert doc == yaml.load(self.SCENARIO, Loader=yaml.SafeLoader)
+        assert doc["army1"] == {"zealot": 8, "stalker": 2}
+
+    def test_pure_python_loader_gives_the_same_bundled_data(self, monkeypatch):
+        # what a PyYAML built without libyaml parses with
+        parses = []
+
+        class PurePython(yaml.SafeLoader):
+            def __init__(self, stream):
+                parses.append(stream)
+                super().__init__(stream)
+
+        expected = default_catalog(), builtin_matchups(), reference_table()
+        monkeypatch.setattr(units, "_YAML_LOADER", PurePython)
+        units.bundled_yaml.cache_clear()
+        try:
+            assert (default_catalog(), builtin_matchups(), reference_table()) == expected
+        finally:
+            units.bundled_yaml.cache_clear()
+        assert len(parses) == 3
