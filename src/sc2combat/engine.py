@@ -17,6 +17,19 @@ The models are additive refinements:
     APX3  + bonus-damage pools, scaled by the fraction of enemy units
           carrying a vulnerable attribute (ranged-only on round one)
     APX4  + melee units are targeted before any ranged unit
+
+A round's two pools depend only on the alive counts of both armies and on
+whether it is the opening round, and the trials of one experiment replay
+many of the same rounds. So ``run_trial`` keeps the pools of each round it
+computes in a cache on army1's state, keyed by that exact battle state
+(the tuple ``(*counts1, *counts2, first_round)``; each side's number of
+classes is fixed) and valid for one defender and one model. The army
+states of a Monte Carlo block are built once and serve all its trials, so
+the block's trials share the cache. A hit returns the very floats
+``compute_pool`` returned for that state, and a full cache
+(``_POOL_CACHE_ENTRIES``) keeps its entries and computes other rounds
+afresh, so results are bit-identical with or without it: every float
+operation and every random draw happens in the same order either way.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import StalemateError
 from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health
@@ -32,6 +45,10 @@ from .units import UnitClass, effective_bonus_dps, effective_dps, effective_heal
 # Rounds after which a trial with both armies still standing is declared a
 # stalemate instead of looping forever on pools too small to ever finish it.
 ROUND_CAP = 10_000
+
+# Entries one round-pool cache holds; a full cache stops growing. Bounds the
+# memory of a block whose trials spread over many battle states.
+_POOL_CACHE_ENTRIES = 1024
 
 
 class TargetPolicy(enum.Enum):
@@ -81,13 +98,13 @@ class ArmyState:
     """Per-class alive counts for one side, with derived stats cached.
 
     Mutable: the engine decrements ``counts`` in place. A new trial resets
-    ``counts`` to ``initial_counts`` in place, so one state and its tables
-    serve every trial of an experiment.
+    ``counts`` to ``initial_counts`` in place, so one state, its tables and
+    its round-pool cache serve every trial of an experiment.
     """
 
     __slots__ = ("classes", "counts", "initial_counts", "eff_health", "eff_dps",
                  "eff_bonus_dps", "ranged", "melee", "indices",
-                 "_bonus_against", "_bonus_table")
+                 "_bonus_against", "_bonus_table", "_pools_against", "_pools_model", "_pools")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
         if any(count < 0 for _, count in composition):
@@ -102,6 +119,7 @@ class ArmyState:
         self.melee: tuple[int, ...] = tuple(i for i, r in enumerate(self.ranged) if not r)
         self.indices: tuple[int, ...] = tuple(range(len(self.classes)))
         self._bonus_against, self._bonus_table = None, ()  # see bonus_targets
+        self._pools_against, self._pools_model, self._pools = None, None, {}  # see _round_pools
 
     def bonus_targets(self, defender: "ArmyState") -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(i, js)`` for each class ``i`` with bonus damage, ``js`` being the
@@ -114,6 +132,26 @@ class ArmyState:
                 for i, unit in enumerate(self.classes) if self.eff_bonus_dps[i] != 0.0)
             self._bonus_against = defender.classes
         return self._bonus_table
+
+    def eligible(self, policy: TargetPolicy,
+                 counts: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """The classes the next target is drawn from when this side has
+        ``counts`` alive, and how many units they hold: under MELEE_FIRST
+        the melee classes while any of them is alive, otherwise every class.
+        A class in the result may have no unit alive."""
+        if policy is TargetPolicy.MELEE_FIRST:
+            alive = sum([counts[i] for i in self.melee])
+            if alive:
+                return self.melee, alive
+        return self.indices, sum(counts)
+
+    def _round_pools(self, defender: "ArmyState", model: ModelId) -> dict:
+        """The round-pool cache of this side against ``defender`` under
+        ``model`` (see the module docstring); another defender or model
+        starts a new one."""
+        if self._pools_against is not defender.classes or self._pools_model is not model:
+            self._pools_against, self._pools_model, self._pools = defender.classes, model, {}
+        return self._pools
 
     def total_units(self) -> int:
         return sum(self.counts)
@@ -166,42 +204,49 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
     return total
 
 
+def _spend(pool: float, defender: ArmyState, policy: TargetPolicy,
+           group: tuple[int, ...], left: int, alive: int,
+           random: Callable[[], float]) -> tuple[float, tuple[int, ...], int, int]:
+    """Spend ``pool`` on ``defender``, which has ``alive`` units, ``left`` of
+    them in the eligible classes ``group``; returns the damage left over and
+    the new ``(group, left, alive)``. The spending rule of ``apply_pool`` and
+    ``run_trial``."""
+    counts, health = defender.counts, defender.eff_health
+    while pool > 0 and alive:
+        pick = random() * left
+        for i in group:
+            pick -= counts[i]
+            if pick < 0:
+                break
+        else:  # rounding left pick >= 0: the last eligible class
+            i = next(j for j in reversed(group) if counts[j])
+        h = health[i]
+        if pool < h:
+            if random() >= pool / h:
+                return 0.0, group, left, alive
+            pool = 0.0
+        else:
+            pool -= h
+        counts[i] -= 1
+        alive -= 1
+        left -= 1
+        if not left and alive:
+            group, left = defender.eligible(policy, counts)
+    return (pool if pool > 0.0 else 0.0), group, left, alive
+
+
 def apply_pool(pool: float, defender: ArmyState,
                policy: TargetPolicy, rng: random.Random) -> float:
     """Spend a damage pool on the defender, killing units one at a time;
     returns the damage left over.
 
     Each target is one unit instance drawn uniformly from the eligible
-    classes (melee classes first under MELEE_FIRST, while any is alive).
-    Killed units are removed immediately and cannot be re-selected; damage
-    left over when the defender is wiped out is discarded.
+    classes (``ArmyState.eligible``). Killed units are removed immediately
+    and cannot be re-selected; damage left over when the defender is wiped
+    out is discarded.
     """
-    counts = defender.counts
-    health = defender.eff_health
-    random = rng.random
-    alive = sum(counts)
-    melee = defender.melee if policy is TargetPolicy.MELEE_FIRST else ()
-    melee_alive = sum([counts[i] for i in melee]) if melee else 0
-    while pool > 0 and alive:
-        eligible, total = (melee, melee_alive) if melee_alive else (defender.indices, alive)
-        pick = random() * total
-        for i in eligible:
-            pick -= counts[i]
-            if pick < 0:
-                break
-        else:  # rounding left pick >= 0: the last eligible class
-            i = next(j for j in reversed(eligible) if counts[j])
-        h = health[i]
-        if pool < h:
-            if random() < pool / h:
-                counts[i] -= 1
-            return 0.0
-        counts[i] -= 1
-        alive -= 1
-        if melee_alive:
-            melee_alive -= 1
-        pool -= h
-    return pool if pool > 0.0 else 0.0
+    group, left = defender.eligible(policy, defender.counts)
+    return _spend(pool, defender, policy, group, left, defender.total_units(), rng.random)[0]
 
 
 def step_round(army1: ArmyState, army2: ArmyState, model: ModelId,
@@ -210,7 +255,7 @@ def step_round(army1: ArmyState, army2: ArmyState, model: ModelId,
 
     Both pools are computed from the start-of-round state before either is
     applied, so the exchange is simultaneous and both armies may end the
-    round defeated.
+    round defeated. ``run_trial`` plays the same round without this call.
     """
     pool1 = compute_pool(army1, army2, model, is_first_round)
     pool2 = compute_pool(army2, army1, model, is_first_round)
@@ -224,18 +269,37 @@ def run_trial(army1: ArmyState, army2: ArmyState,
               model: ModelId, rng: random.Random) -> TrialOutcome:
     """Simulate one battle to completion; mutates both army states.
 
-    Raises StalemateError as soon as both pools are 0 in a round after the
-    first (from then on no round can change anything), or if neither army
-    is defeated within ROUND_CAP rounds.
+    Plays the rounds of ``step_round``, taking each round's pools from
+    army1's round-pool cache (see the module docstring) and tracking alive
+    counts as units die. Raises StalemateError as soon as both pools are 0
+    in a round after the first (from then on no round can change anything),
+    or if neither army is defeated within ROUND_CAP rounds.
     """
-    if army1.defeated or army2.defeated:
-        raise ValueError("both armies must start with at least one unit")
     counts1, counts2 = army1.counts, army2.counts
+    policy = model.target_policy
+    group1, left1 = army1.eligible(policy, counts1)
+    group2, left2 = army2.eligible(policy, counts2)
+    alive1, alive2 = sum(counts1), sum(counts2)
+    if not alive1 or not alive2:
+        raise ValueError("both armies must start with at least one unit")
+    pools = army1._round_pools(army2, model)
+    draw = rng.random
     for rounds in range(1, ROUND_CAP + 1):
-        if not step_round(army1, army2, model, rounds == 1, rng) and rounds > 1:
+        first = rounds == 1
+        key = (*counts1, *counts2, first)
+        both = pools.get(key)
+        if both is None:
+            both = (compute_pool(army1, army2, model, first),
+                    compute_pool(army2, army1, model, first))
+            if len(pools) < _POOL_CACHE_ENTRIES:
+                pools[key] = both
+        pool1, pool2 = both
+        if not (pool1 > 0.0 or pool2 > 0.0) and not first:
             raise StalemateError(f"both pools are 0 in round {rounds}: no progress possible")
-        alive1 = sum(counts1)
-        alive2 = sum(counts2)
+        if pool1 > 0.0:
+            _, group2, left2, alive2 = _spend(pool1, army2, policy, group2, left2, alive2, draw)
+        if pool2 > 0.0:
+            _, group1, left1, alive1 = _spend(pool2, army1, policy, group1, left1, alive1, draw)
         if not alive1 or not alive2:
             winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)

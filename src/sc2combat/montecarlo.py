@@ -4,16 +4,18 @@ Each trial gets its own random stream, keyed by (master seed, trial index)
 through a hash so that streams are independent of execution order: running
 trials serially, in any order, or across worker processes produces the same
 per-trial outcomes. One loop runs every trial: it counts the terminal
-outcomes of a block of trials. ``run_experiments`` splits each spec into
-blocks, runs the blocks of all specs on one process pool, and sums each
-spec's counts; summing is order-independent, so results are identical no
-matter how the trials were partitioned. ``sample_outcomes`` returns the
+outcomes of a block of trials, which share one pair of army states and with
+it the engine's cache of round pools. ``run_experiments`` splits each spec
+into blocks, runs the blocks of all specs on one process pool, and sums
+each spec's counts; summing is order-independent, so results are identical
+no matter how the trials were partitioned. ``sample_outcomes`` returns the
 counts of one serial block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import struct
 from collections import Counter
@@ -121,7 +123,8 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId,
                     master_seed: int, start: int, stop: int) -> Counter[Outcome]:
     """How often each ``(winner, survivors1, survivors2)`` outcome ends the
     trials ``start:stop``, with None counting stalemates. Both army states
-    are built once and reset in place before each trial."""
+    are built once and reset in place before each trial, so all the block's
+    trials share their round-pool cache."""
     army1, army2 = ArmyState(comp1), ArmyState(comp2)
     counts: Counter[Outcome] = Counter()
     for index in range(start, stop):
@@ -165,9 +168,9 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     """Run all trials of every experiment and aggregate each one.
 
     ``n_jobs`` > 1 splits each spec's trials into ``n_jobs`` blocks and runs
-    the blocks of all specs on one pool of worker processes. A spec's result
-    is the sum of its blocks' outcome counts, so it is identical to a
-    serial run for any ``n_jobs``.
+    the blocks of all specs on one pool of worker processes, no more of them
+    than there are blocks or CPUs. A spec's result is the sum of its blocks'
+    outcome counts, so it is identical to a serial run for any ``n_jobs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -185,7 +188,8 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     else:
         # imported here: it loads multiprocessing, ~30 ms that serial runs need not pay
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        workers = min(n_jobs, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(k, pool.submit(_count_outcomes, *args)) for k, args in blocks]
             for k, future in futures:
                 totals[k].update(future.result())

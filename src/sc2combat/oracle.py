@@ -2,7 +2,8 @@
 
 This is a brute-force cross-check for the sampling engine. It shares the
 engine's rules core: each side is an engine ArmyState, whose effective stats
-are built once per enumeration, and each round's damage pools come from
+are built once per enumeration and whose ``eligible`` names the classes a
+target is drawn from, and each round's damage pools come from
 engine.compute_pool. What it does on its own is spend those pools: where
 engine.apply_pool draws targets and kill rolls, the enumeration works out
 every target selection and probabilistic kill with exact rational
@@ -89,19 +90,18 @@ class ExactDistribution:
 def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
                         policy: TargetPolicy) -> dict[tuple[int, ...], Fraction]:
     """Distribution of the counts left when ``pool`` is spent on ``army`` at
-    ``counts``: every selection/kill branch, exactly (melee classes first
-    under MELEE_FIRST, while any is alive)."""
+    ``counts``: every selection/kill branch, exactly, with targets drawn from
+    the classes ``ArmyState.eligible`` names, as ``engine.apply_pool`` does."""
     out: dict[tuple[int, ...], Fraction] = {}
-    melee = army.melee if policy is TargetPolicy.MELEE_FIRST else ()
 
     def expand(pool: float, counts: tuple[int, ...], prob: Fraction) -> None:
         if pool <= 0 or not any(counts):
             out[counts] = out.get(counts, Fraction(0)) + prob
             return
-        eligible = ([i for i in melee if counts[i]]
-                    or [i for i, c in enumerate(counts) if c])
-        total = sum(counts[i] for i in eligible)
+        eligible, total = army.eligible(policy, counts)
         for i in eligible:
+            if not counts[i]:
+                continue
             p_select = prob * Fraction(counts[i], total)
             health = army.eff_health[i]
             killed = counts[:i] + (counts[i] - 1,) + counts[i + 1:]

@@ -233,12 +233,14 @@ def load_scenario(source: ScenarioSource, catalog: UnitCatalog) -> Scenario:
             raise ScenarioError(str(exc)) from None
     trials = None
     if "trials" in doc:
-        if not isinstance(doc["trials"], int) or doc["trials"] < 1:
+        if (not isinstance(doc["trials"], int) or isinstance(doc["trials"], bool)
+                or doc["trials"] < 1):
             raise ScenarioError("trials must be a positive integer")
         trials = doc["trials"]
     seed = None
     if "seed" in doc:
-        if not isinstance(doc["seed"], int) or not 0 <= doc["seed"] < 1 << 64:
+        if (not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool)
+                or not 0 <= doc["seed"] < 1 << 64):
             raise ScenarioError("seed must be an integer in [0, 2**64)")
         seed = doc["seed"]
     return Scenario(matchup=matchup, model=model, trials=trials, seed=seed)

@@ -139,6 +139,14 @@ class TestRun:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize("key, old, new", [("trials", "50", "true"), ("seed", "42", "false")])
+    def test_scenario_boolean_is_data_error(self, capsys, tmp_path, key, old, new):
+        # YAML booleans are Python ints; they are no trial count or seed
+        path = tmp_path / "battle.yaml"
+        path.write_text(SCENARIO.replace(f"{key}: {old}", f"{key}: {new}"))
+        assert_one_error_line(run_cli(capsys, "run", "--scenario", str(path)),
+                              f"error: {key} must be ")
+
     @pytest.mark.parametrize("flags, trials, seed", [
         (("--seed", "7", "--trials", "30"), 30, 7),
         (("--seed", "0"), 50, 0),

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -16,6 +17,7 @@ from sc2combat import (
     compute_pool,
     run_trial,
     step_round,
+    trial_rng,
 )
 
 from conftest import make_unit
@@ -124,6 +126,13 @@ class TestBonusPool:
         defenders = army((catalog["zergling"], 2), (catalog["roach"], 2))
         pool = compute_pool(hellions, defenders, ModelId.APX3, False)
         assert pool == pytest.approx(32.0 + 12.0)
+
+    def test_dps_summed_left_to_right(self):
+        # a compensated sum (math.fsum, or sum() of floats from Python 3.12) gives 0.6
+        attacker = army(*((make_unit(f"u{i}", dps=dps), 1)
+                          for i, dps in enumerate((0.1, 0.2, 0.3))))
+        assert compute_pool(attacker, army((make_unit("d"), 1)), ModelId.APX1, False) \
+            == 0.6000000000000001
 
 
 class TestApplyPool:
@@ -255,6 +264,34 @@ class TestRunTrial:
         outcome = run_trial(a, b, ModelId.APX2, random.Random(0))
         assert outcome.winner is Winner.DRAW and outcome.rounds == 2
 
+    def test_signature(self):
+        assert list(inspect.signature(run_trial).parameters) == ["army1", "army2", "model", "rng"]
+
+    @pytest.mark.parametrize("entries", [0, 3, None])  # None: the module's cap
+    def test_round_pool_cache_changes_no_outcome(self, catalog, monkeypatch, entries):
+        def trials(a, b, model, fresh):
+            outcomes = []
+            for index in range(40):
+                if fresh:
+                    a = army(*zip(a.classes, a.initial_counts))
+                    b = army(*zip(b.classes, b.initial_counts))
+                a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+                outcomes.append(run_trial(a, b, model, trial_rng(4, index)))
+            return outcomes
+
+        a = army((catalog["zealot"], 4), (catalog["stalker"], 3))
+        b = army((catalog["marine"], 6), (catalog["marauder"], 2))
+        cap = engine._POOL_CACHE_ENTRIES if entries is None else entries
+        monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", 0)
+        expected = {m: trials(a, b, m, fresh=True) for m in ModelId}
+        monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", cap)
+        for model in (*ModelId, ModelId.APX1):  # one state pair for every model
+            assert trials(a, b, model, fresh=False) == expected[model]
+            size = len(a._round_pools(b, model))
+            assert size == entries if entries is not None else 3 < size <= cap
+        # the state pair played the other way round keeps its own cache
+        assert trials(b, a, ModelId.APX4, fresh=False) == trials(b, a, ModelId.APX4, fresh=True)
+
     def test_round_cap_value(self):
         assert ROUND_CAP == 10_000
 
@@ -289,6 +326,16 @@ class TestArmyState:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             ArmyState([(make_unit("a"), -1)])
+
+    @pytest.mark.parametrize("policy, counts, expected", [
+        (TargetPolicy.MELEE_FIRST, [2, 3, 1], ((0, 2), 3)),
+        (TargetPolicy.MELEE_FIRST, [0, 3, 0], ((0, 1, 2), 3)),  # no melee left: every class
+        (TargetPolicy.UNIFORM_RANDOM, [2, 3, 1], ((0, 1, 2), 6)),
+        (TargetPolicy.MELEE_FIRST, [0, 0, 0], ((0, 1, 2), 0)),
+    ])
+    def test_eligible_targets(self, policy, counts, expected):
+        state = army((make_unit("m1"), 2), (make_unit("r", ranged=True), 3), (make_unit("m2"), 1))
+        assert state.eligible(policy, counts) == expected
 
     def test_bonus_targets_built_once_per_opponent(self):
         attacker = army((make_unit("a", bonus=2.0, bonus_vs=("light",)), 1),

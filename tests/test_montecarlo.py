@@ -1,8 +1,10 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
 import pytest
 
+import sc2combat.engine as engine
 import sc2combat.montecarlo as montecarlo
 from sc2combat import (
     ExperimentSpec,
@@ -11,6 +13,7 @@ from sc2combat import (
     StalemateError,
     UnitCatalog,
     Winner,
+    find_matchup,
     run_experiment,
     run_experiments,
     sample_outcomes,
@@ -163,10 +166,67 @@ class TestRunExperiment:
         # one pair of states serves the whole block
         assert len({(id(a1), id(a2)) for a1, a2, _, _ in starts}) == 1
 
+    def test_full_pool_cache_changes_no_result(self, catalog, monkeypatch):
+        spec = ExperimentSpec(find_matchup(2, "PvZ"), ModelId.APX4, 200, 5)
+        uncapped = run_experiment(spec, catalog)
+        sizes = []
+        original = engine.ArmyState._round_pools
+
+        def recording(self, defender, model):
+            pools = original(self, defender, model)
+            sizes.append(len(pools))
+            return pools
+
+        monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", 3)
+        monkeypatch.setattr(engine.ArmyState, "_round_pools", recording)
+        assert run_experiment(spec, catalog) == uncapped
+        assert max(sizes) == 3  # the block filled its cache
+
+    def test_specs_share_no_round_pools(self, catalog):
+        specs = [ExperimentSpec(find_matchup(1, "PvT"), model, 300, 9) for model in ModelId]
+        assert run_experiments(specs, catalog) == [run_experiment(s, catalog) for s in specs]
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
                            model=ModelId.APX1, trials=0)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("n_jobs, cpus, workers", [
+        (5000, 4, 4),  # capped by the CPUs
+        (5000, 64, 30),  # capped by the blocks: 2 specs x 15 one-trial blocks
+        (2, 64, 2),
+        (3, None, 1),  # CPU count unknown
+    ])
+    def test_workers_capped(self, monkeypatch, n_jobs, cpus, workers):
+        started = []
+
+        class InlinePool:
+            """Records the pool size and runs every task in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        specs = [ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                                model=model, trials=15, master_seed=8)
+                 for model in (ModelId.APX1, ModelId.APX4)]
+        serial = run_experiments(specs, tiny_catalog())
+        assert run_experiments(specs, tiny_catalog(), n_jobs=n_jobs) == serial
+        assert started == [workers]
 
 
 class TestSampleOutcomes:

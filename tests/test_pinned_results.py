@@ -6,16 +6,19 @@ operation and every random draw in the same order, so that a given
 the engine's hot path was rewritten around per-experiment tables; a change
 that alters the random streams or a model rule on purpose must say so and
 pin new digests. The exact-distribution digests were computed with the
-recursive oracle that preceded forward mass propagation.
+recursive oracle that preceded forward mass propagation, and the
+1000-trial digest before the engine cached round pools.
 """
 
 import hashlib
 
-from sc2combat import ExperimentSpec, MatchupSpec, ModelId, builtin_matchups, run_experiment
+from sc2combat import ExperimentSpec, MatchupSpec, ModelId, builtin_matchups, find_matchup
+from sc2combat import run_experiment
 from sc2combat import enumerate_compositions, sample_outcomes
 
 GRID_DIGEST = "3d71ce5ff3fdb85c94fe265c0a4a9eea73393ac98c888d52a24ab8101649f176"
 MIXED_4V4_DIGEST = "63478e76393bf93fa7385007bf2ed6d1820ec391500e2d94a7a43a4af1c54c58"
+LONG_RUN_DIGEST = "5bd6254b9fdc369ca297249854607bfb9e0ca95814d182c086f02dbabe19337f"
 
 # Mixed battles of melee, ranged and bonus units; one digest covers the
 # sorted outcomes of all four models.
@@ -43,6 +46,16 @@ def test_grid_results_are_pinned(catalog):
                for m in builtin_matchups() for model in ModelId]
     assert len(results) == 48
     assert sha256("\n".join(map(repr, results))) == GRID_DIGEST
+
+
+def test_long_runs_are_pinned(catalog):
+    """One builtin matchup per model, 1000 trials each at seed 0: long blocks,
+    which revisit battle states and fill the round-pool cache."""
+    specs = [((1, "PvT"), ModelId.APX1), ((2, "TvZ"), ModelId.APX2),
+             ((3, "PvZ"), ModelId.APX3), ((4, "TvZ"), ModelId.APX4)]
+    results = [run_experiment(ExperimentSpec(find_matchup(*m), model, 1000, 0), catalog)
+               for m, model in specs]
+    assert sha256("\n".join(map(repr, results))) == LONG_RUN_DIGEST
 
 
 def test_sampled_outcomes_are_pinned(catalog):
