@@ -23,19 +23,24 @@ whether it is the opening round, and the trials of one experiment replay
 many of the same rounds. So ``run_trial`` keeps the pools of each round it
 computes in a cache on army1's state, keyed by that exact battle state
 (the tuple ``(*counts1, *counts2, first_round)``; each side's number of
-classes is fixed) and valid for one defender and one model. The army
-states of a Monte Carlo block are built once and serve all its trials, so
-the block's trials share the cache. A hit returns the very floats
-``compute_pool`` returned for that state, and a full cache
-(``_POOL_CACHE_ENTRIES``) keeps its entries and computes other rounds
-afresh, so results are bit-identical with or without it: every float
-operation and every random draw happens in the same order either way.
+classes is fixed) and valid for one defender and one model. An entry also
+holds the state's kill tables when it is a lottery state, a state where no
+pool can kill more than one unit and the trial skips the rounds that kill
+nothing (see ``run_trial``). The army states of a Monte Carlo block are
+built once and serve all its trials, so the block's trials share the
+cache. A hit returns the very floats a miss computes for that state, and a
+full cache (``_POOL_CACHE_ENTRIES``) keeps its entries and computes other
+rounds afresh, so results are bit-identical with or without it: every
+float operation and every random draw happens in the same order either
+way.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -249,31 +254,87 @@ def apply_pool(pool: float, defender: ArmyState,
     return _spend(pool, defender, policy, group, left, defender.total_units(), rng.random)[0]
 
 
-def step_round(army1: ArmyState, army2: ArmyState, model: ModelId,
-               is_first_round: bool, rng: random.Random) -> bool:
-    """Advance both armies by one round; returns whether either pool was positive.
+def _kill_odds(pool: float, defender: ArmyState, group: tuple[int, ...],
+               left: int) -> tuple[float, tuple[tuple[float, int], ...]] | None:
+    """The chance that ``pool`` kills a unit of ``defender``, whose eligible
+    classes ``group`` hold ``left`` units, and the cumulative kill table
+    ``((k, i), ...)`` over the classes with a unit alive. Class i adds
+    ``c_i/left * pool/h_i``. None unless ``pool`` is below the health of
+    every such class, where spending it is one pick and one kill roll, and
+    the chance rounds below 1, so that ``log1p(-k)`` is finite."""
+    counts, health = defender.counts, defender.eff_health
+    kill, table = 0.0, []
+    for i in group:
+        if counts[i]:
+            h = health[i]
+            if pool >= h:
+                return None
+            kill += counts[i] / left * (pool / h)
+            table.append((kill, i))
+    return (kill, tuple(table)) if kill < 1.0 else None
 
-    Both pools are computed from the start-of-round state before either is
-    applied, so the exchange is simultaneous and both armies may end the
-    round defeated. ``run_trial`` plays the same round without this call.
-    """
-    pool1 = compute_pool(army1, army2, model, is_first_round)
-    pool2 = compute_pool(army2, army1, model, is_first_round)
-    policy = model.target_policy
-    apply_pool(pool1, army2, policy, rng)
-    apply_pool(pool2, army1, policy, rng)
-    return pool1 > 0.0 or pool2 > 0.0
+
+def _round_entry(army1: ArmyState, army2: ArmyState, model: ModelId, first: bool,
+                 group1: tuple[int, ...], left1: int,
+                 group2: tuple[int, ...], left2: int) -> tuple:
+    """One round-pool cache entry: both pools and, for a lottery state (see
+    ``run_trial``), ``(log q, share1, k1, table1, k2, table2)`` from
+    ``_kill_odds``, q being the chance the round kills nothing, else None;
+    ``share1 = k1 / (1 - q)``, so side 1 surely kills when k2 is 0."""
+    pool1 = compute_pool(army1, army2, model, first)
+    pool2 = compute_pool(army2, army1, model, first)
+    odds1 = None if first else _kill_odds(pool1, army2, group2, left2)
+    odds2 = odds1 and _kill_odds(pool2, army1, group1, left1)
+    if not odds2:
+        return pool1, pool2, None
+    (kill1, table1), (kill2, table2) = odds1, odds2
+    decisive = kill1 + (1.0 - kill1) * kill2
+    return pool1, pool2, (math.log1p(-kill1) + math.log1p(-kill2),
+                          kill1 / decisive if decisive else 0.0, kill1, table1, kill2, table2)
+
+
+def _lottery_kill(table: tuple[tuple[float, int], ...], pick: float, defender: ArmyState,
+                  policy: TargetPolicy, group: tuple[int, ...], left: int,
+                  alive: int) -> tuple[tuple[int, ...], int, int]:
+    """Kill the unit of the first class whose cumulative odds in ``table``
+    exceed ``pick``; returns the new ``(group, left, alive)``."""
+    for odds, i in table:
+        if pick < odds:
+            break
+    # else rounding left pick >= the last odds: the last class, as i holds
+    counts = defender.counts
+    counts[i] -= 1
+    left -= 1
+    if not left and alive > 1:
+        group, left = defender.eligible(policy, counts)
+    return group, left, alive - 1
 
 
 def run_trial(army1: ArmyState, army2: ArmyState,
               model: ModelId, rng: random.Random) -> TrialOutcome:
     """Simulate one battle to completion; mutates both army states.
 
-    Plays the rounds of ``step_round``, taking each round's pools from
-    army1's round-pool cache (see the module docstring) and tracking alive
-    counts as units die. Raises StalemateError as soon as both pools are 0
-    in a round after the first (from then on no round can change anything),
-    or if neither army is defeated within ROUND_CAP rounds.
+    Each round computes both pools from the start-of-round state, army1's
+    pool is spent on army2 and army2's on army1 (``_spend``), so both may
+    end the round defeated. Pools come from army1's round-pool cache (see
+    the module docstring), and alive counts are tracked as units die.
+
+    A lottery state is one after round 1 where each side's pool is below
+    the health of every alive eligible target: each round there is one pick
+    and one kill roll a side, side s killing with chance k_s (``_kill_odds``)
+    and the round killing nothing with chance q = (1 - k1)(1 - k2). The
+    trial does not play those idle rounds one by one. It draws their number
+    from the geometric law P(n) = q**n (1 - q), then which sides kill given
+    that one does (side 1 with chance k1 / (1 - q); side 2 then with chance
+    k2, and surely if side 1 does not), then each killed unit's class. This
+    has the law of playing the rounds, and ``TrialOutcome.rounds`` counts
+    the skipped rounds.
+
+    Raises StalemateError in a lottery state where both kill chances are 0
+    (both pools are 0 in a round after the first, say), as no round can
+    change anything from then on, or if neither army is defeated within
+    ROUND_CAP played rounds, a lottery state's skipped rounds and its
+    deciding round counting as one.
     """
     counts1, counts2 = army1.counts, army2.counts
     policy = model.target_policy
@@ -284,23 +345,39 @@ def run_trial(army1: ArmyState, army2: ArmyState,
         raise ValueError("both armies must start with at least one unit")
     pools = army1._round_pools(army2, model)
     draw = rng.random
-    for rounds in range(1, ROUND_CAP + 1):
+    rounds = 0
+    for _ in range(ROUND_CAP):
+        rounds += 1
         first = rounds == 1
         key = (*counts1, *counts2, first)
-        both = pools.get(key)
-        if both is None:
-            both = (compute_pool(army1, army2, model, first),
-                    compute_pool(army2, army1, model, first))
+        entry = pools.get(key)
+        if entry is None:
+            entry = _round_entry(army1, army2, model, first, group1, left1, group2, left2)
             if len(pools) < _POOL_CACHE_ENTRIES:
-                pools[key] = both
-        pool1, pool2 = both
-        if not (pool1 > 0.0 or pool2 > 0.0) and not first:
-            raise StalemateError(f"both pools are 0 in round {rounds}: no progress possible")
-        if pool1 > 0.0:
-            _, group2, left2, alive2 = _spend(pool1, army2, policy, group2, left2, alive2, draw)
-        if pool2 > 0.0:
-            _, group1, left1, alive1 = _spend(pool2, army1, policy, group1, left1, alive1, draw)
+                pools[key] = entry
+        pool1, pool2, lottery = entry
+        if lottery is not None:
+            log_q, share1, kill1, table1, kill2, table2 = lottery
+            if not (kill1 or kill2):
+                raise StalemateError(f"no kill is possible in round {rounds}: no progress possible")
+            # a kill chance below about 1e-308 can take the count past the
+            # largest float; it then stays there
+            rounds += int(min(math.log(1.0 - draw()) / log_q, sys.float_info.max))
+            if draw() < share1:
+                group2, left2, alive2 = _lottery_kill(table1, draw() * kill1, army2, policy,
+                                                      group2, left2, alive2)
+                side2 = draw() < kill2
+            else:
+                side2 = True
+            if side2:
+                group1, left1, alive1 = _lottery_kill(table2, draw() * kill2, army1, policy,
+                                                      group1, left1, alive1)
+        else:
+            if pool1 > 0.0:
+                _, group2, left2, alive2 = _spend(pool1, army2, policy, group2, left2, alive2, draw)
+            if pool2 > 0.0:
+                _, group1, left1, alive1 = _spend(pool2, army1, policy, group1, left1, alive1, draw)
         if not alive1 or not alive2:
             winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)
-    raise StalemateError(f"both armies still standing after {ROUND_CAP} rounds")
+    raise StalemateError(f"both armies still standing after {ROUND_CAP} played rounds")

@@ -1,15 +1,16 @@
 """Deterministic Monte Carlo harness.
 
-Each trial gets its own random stream, keyed by (master seed, trial index)
-through a hash so that streams are independent of execution order: running
-trials serially, in any order, or across worker processes produces the same
-per-trial outcomes. One loop runs every trial: it counts the terminal
-outcomes of a block of trials, which share one pair of army states and with
-it the engine's cache of round pools. ``run_experiments`` splits each spec
-into blocks, runs the blocks of all specs on one process pool, and sums
-each spec's counts; summing is order-independent, so results are identical
-no matter how the trials were partitioned. ``sample_outcomes`` returns the
-counts of one serial block.
+Trials are grouped in chunks of ``CHUNK`` consecutive trial indices, and
+each chunk gets its own random stream, keyed by (master seed, chunk index)
+through a hash; the trials of a chunk draw from it one after another, in
+index order. One loop runs every trial: it counts the terminal outcomes of
+a block of trials, which starts on a chunk boundary and shares one pair of
+army states and with it the engine's cache of round pools.
+``run_experiments`` splits each spec into blocks of whole chunks, runs the
+blocks of all specs on one process pool, and sums each spec's counts; every
+trial sees the same stream however the trials were partitioned, and summing
+is order-independent, so results are identical for any number of jobs.
+``sample_outcomes`` returns the counts of one serial block.
 """
 
 from __future__ import annotations
@@ -30,15 +31,20 @@ from .units import UnitCatalog, UnitClass
 SEED_LIMIT = 1 << 64  # master seeds lie in [0, SEED_LIMIT)
 _SEED_MASK = SEED_LIMIT - 1
 
+# Consecutive trials that draw from one random stream. Seeding a generator
+# costs about a tenth of a short trial, so a stream serves a whole chunk.
+CHUNK = 64
 
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Keyed, splittable derivation of one trial's seed."""
-    packed = struct.pack("<QQ", master_seed & _SEED_MASK, trial_index & _SEED_MASK)
+
+def trial_seed(master_seed: int, chunk: int) -> int:
+    """Keyed, splittable derivation of the seed of one chunk of trials."""
+    packed = struct.pack("<QQ", master_seed & _SEED_MASK, chunk & _SEED_MASK)
     return int.from_bytes(hashlib.blake2b(packed, digest_size=16).digest(), "little")
 
 
-def trial_rng(master_seed: int, trial_index: int) -> random.Random:
-    return random.Random(trial_seed(master_seed, trial_index))
+def trial_rng(master_seed: int, chunk: int) -> random.Random:
+    """The random stream of trials ``chunk * CHUNK`` to ``chunk * CHUNK + CHUNK - 1``."""
+    return random.Random(trial_seed(master_seed, chunk))
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class AggregateResult:
 
     Stalemated trials count as draws and are additionally tallied in
     ``stalemate_count``. A trial stalemates when ``run_trial`` raises
-    StalemateError: both pools are 0 in a round after the first, or the
+    StalemateError: no kill is possible in a round after the first, or the
     round cap is hit with both armies standing. Survivor sums accumulate
     per-class counts only over trials the army won, so ``mean_survivors*``
     are win-conditioned means (None if that army never won).
@@ -122,16 +128,21 @@ Outcome = Optional[tuple[Winner, tuple[int, ...], tuple[int, ...]]]  # None: a s
 def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId,
                     master_seed: int, start: int, stop: int) -> Counter[Outcome]:
     """How often each ``(winner, survivors1, survivors2)`` outcome ends the
-    trials ``start:stop``, with None counting stalemates. Both army states
-    are built once and reset in place before each trial, so all the block's
-    trials share their round-pool cache."""
+    trials ``start:stop``, with None counting stalemates. ``start`` must be
+    on a chunk boundary; each chunk's stream serves its trials in order.
+    Both army states are built once and reset in place before each trial,
+    so all the block's trials share their round-pool cache."""
+    if start % CHUNK:
+        raise ValueError(f"a block must start on a {CHUNK}-trial chunk boundary, got {start}")
     army1, army2 = ArmyState(comp1), ArmyState(comp2)
     counts: Counter[Outcome] = Counter()
     for index in range(start, stop):
+        if not index % CHUNK:
+            rng = trial_rng(master_seed, index // CHUNK)
         army1.counts[:] = army1.initial_counts
         army2.counts[:] = army2.initial_counts
         try:
-            outcome = run_trial(army1, army2, model, trial_rng(master_seed, index))
+            outcome = run_trial(army1, army2, model, rng)
         except StalemateError:
             counts[None] += 1
         else:
@@ -167,17 +178,20 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
                     n_jobs: int = 1) -> list[AggregateResult]:
     """Run all trials of every experiment and aggregate each one.
 
-    ``n_jobs`` > 1 splits each spec's trials into ``n_jobs`` blocks and runs
-    the blocks of all specs on one pool of worker processes, no more of them
-    than there are blocks or CPUs. A spec's result is the sum of its blocks'
-    outcome counts, so it is identical to a serial run for any ``n_jobs``.
+    ``n_jobs`` > 1 splits each spec's trials into at most ``n_jobs`` blocks
+    of whole ``CHUNK``-trial chunks (the last block may end mid-chunk) and
+    runs the blocks of all specs on one pool of worker processes, no more of
+    them than there are blocks or CPUs. A spec's result is the sum of its
+    blocks' outcome counts, so it is identical to a serial run for any
+    ``n_jobs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     resolved = [resolve_matchup(spec.matchup, catalog) for spec in specs]
     blocks = []  # (spec index, arguments of _count_outcomes)
     for k, (spec, (comp1, comp2)) in enumerate(zip(specs, resolved)):
-        size = -(-spec.trials // n_jobs)
+        chunks = -(-spec.trials // CHUNK)
+        size = -(-chunks // n_jobs) * CHUNK
         blocks += [(k, (comp1, comp2, spec.model, spec.master_seed,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]

@@ -15,12 +15,13 @@ from sc2combat import (
     apply_pool,
     bonus_pool,
     compute_pool,
+    enumerate_compositions,
     run_trial,
-    step_round,
     trial_rng,
 )
 
 from conftest import make_unit
+from family_check import binomial_p, bonferroni_failures
 
 
 def army(*entries):
@@ -190,7 +191,7 @@ class TestApplyPool:
         assert defender.counts == [3]
 
 
-class TestStepRound:
+class TestOneRoundBattles:
     def test_simultaneous_exchange(self):
         # pools fixed from start-of-round state: B always dies, A dies half the time
         deaths = 0
@@ -198,23 +199,96 @@ class TestStepRound:
         for i in range(n):
             a = army((make_unit("a", health=10, dps=10.0), 1))
             b = army((make_unit("b", health=10, dps=5.0), 1))
-            step_round(a, b, ModelId.APX1, True, random.Random(i))
+            outcome = run_trial(a, b, ModelId.APX1, random.Random(i))
+            assert outcome.rounds == 1
             assert b.counts == [0]
             deaths += a.counts == [0]
         assert abs(deaths / n - 0.5) <= three_sigma(0.5, n)
 
     def test_zero_dps_changes_nothing(self):
+        # round 1 kills nothing, and round 2 ends the trial as a stalemate
         a = army((make_unit("a", dps=0.0), 2))
         b = army((make_unit("b", dps=0.0), 3))
-        step_round(a, b, ModelId.APX1, True, random.Random(0))
+        with pytest.raises(StalemateError, match="round 2"):
+            run_trial(a, b, ModelId.APX1, random.Random(0))
         assert a.counts == [2] and b.counts == [3]
 
     def test_apx2_ranged_wipe_before_melee_contact(self):
         shooters = army((make_unit("r", health=10, dps=50.0, ranged=True), 2))
         melee = army((make_unit("m", health=10, dps=100.0), 10))
-        step_round(shooters, melee, ModelId.APX2, True, random.Random(3))
+        outcome = run_trial(shooters, melee, ModelId.APX2, random.Random(3))
+        assert outcome.rounds == 1
         assert melee.counts == [0]
         assert shooters.counts == [2]
+
+
+class TestLotteryRounds:
+    """States after round 1 where no pool reaches the health of any eligible
+    target: the trial skips their idle rounds by the geometric law."""
+
+    @pytest.mark.parametrize("dps", [1e-17, 1e-300, 1e-320])
+    def test_tiny_dps_attacker_wins(self, dps):
+        # 1e-17: 1 - k rounds to 1.0, so log(q) would be 0; 1e-320: a
+        # subnormal kill chance, whose idle count overflows a float
+        a = army((make_unit("a", health=50, dps=dps), 1))
+        b = army((make_unit("b", health=50, dps=0.0), 1))
+        rng = random.Random(1)
+        for _ in range(200):
+            a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+            assert run_trial(a, b, ModelId.APX1, rng).winner is Winner.ARMY1
+
+    def test_kill_chances_of_zero_are_a_stalemate(self):
+        # a positive pool whose kill chance 5e-324 / 50 rounds to 0.0
+        a = army((make_unit("a", health=50, dps=5e-324), 1))
+        b = army((make_unit("b", health=50, dps=0.0), 1))
+        assert compute_pool(a, b, ModelId.APX1, False) > 0.0
+        with pytest.raises(StalemateError, match="round 2"):
+            run_trial(a, b, ModelId.APX1, random.Random(0))
+
+    def test_closed_form_duel(self, monkeypatch):
+        # each round army1 kills with chance 25/100 and army2 with 10/50, so a
+        # round decides with chance 1 - 0.75 * 0.8 = 0.4: win1 0.25 * 0.8 / 0.4,
+        # draw 0.25 * 0.2 / 0.4, win2 0.75 * 0.2 / 0.4, and 1 / 0.4 rounds on average
+        spends = []
+        original = engine._spend
+        monkeypatch.setattr(engine, "_spend", lambda *args: spends.append(1) or original(*args))
+        a = army((make_unit("a", health=50, dps=25.0, ranged=True), 1))
+        b = army((make_unit("b", health=100, dps=10.0, ranged=True), 1))
+        n = 20_000
+        wins, rounds, rng = {w: 0 for w in Winner}, [], random.Random(7)
+        for _ in range(n):
+            a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+            outcome = run_trial(a, b, ModelId.APX1, rng)
+            wins[outcome.winner] += 1
+            rounds.append(outcome.rounds)
+        assert len(spends) == 2 * n  # only round 1 is played pick by pick
+        exact = {Winner.ARMY1: 1 / 2, Winner.DRAW: 1 / 8, Winner.ARMY2: 3 / 8}
+        p_values = [(w.name, binomial_p(wins[w], n, p)) for w, p in exact.items()]
+        assert not bonferroni_failures(p_values, 1e-3), p_values
+        # rounds: geometric with success 0.4, variance 0.6 / 0.4**2
+        assert abs(sum(rounds) / n - 2.5) <= 4 * math.sqrt(3.75 / n)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_lottery_heavy_battle_matches_oracle(self, model):
+        # army1's pool of 11 (with bonus: up to 15) reaches only the 10-health
+        # unit, and army2's pool of 10 no unit: every other state is a lottery
+        comp1 = [(make_unit("a", health=40, dps=3.0, ranged=True, bonus=2.0,
+                            bonus_vs=("armored",)), 2),
+                 (make_unit("b", health=60, dps=5.0), 1)]
+        comp2 = [(make_unit("c", health=50, dps=4.0, attrs=("armored",)), 2),
+                 (make_unit("d", health=10, dps=2.0, ranged=True), 1)]
+        exact = enumerate_compositions(comp1, comp2, model).as_floats()
+        a, b = ArmyState(comp1), ArmyState(comp2)
+        n = 10_000
+        sampled, rng = {}, random.Random(11)
+        for _ in range(n):
+            a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+            outcome = run_trial(a, b, model, rng)
+            key = (outcome.winner, outcome.survivors1, outcome.survivors2)
+            sampled[key] = sampled.get(key, 0) + 1
+        p_values = [(repr(o), binomial_p(sampled.get(o, 0), n, exact.get(o, 0.0)))
+                    for o in set(exact) | set(sampled)]
+        assert not bonferroni_failures(p_values, 1e-3), p_values
 
 
 class TestRunTrial:

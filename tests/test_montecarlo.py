@@ -63,6 +63,30 @@ class TestTrialStreams:
                [trial_rng(9, 4).random() for _ in range(3)]
 
 
+class TestChunkStreams:
+    def test_chunk_stream_serves_its_trials_in_order(self):
+        a = engine.ArmyState([(tiny_catalog()["fast"], 2)])
+        b = engine.ArmyState([(tiny_catalog()["slow"], 3)])
+        expected = {}
+        for index in range(130):
+            if index % montecarlo.CHUNK == 0:
+                rng = trial_rng(13, index // montecarlo.CHUNK)
+            a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+            outcome = engine.run_trial(a, b, ModelId.APX1, rng)
+            key = (outcome.winner, outcome.survivors1, outcome.survivors2)
+            expected[key] = expected.get(key, 0) + 1
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX1, trials=130, master_seed=13)
+        assert sample_outcomes(spec, tiny_catalog()) == expected
+
+    @pytest.mark.parametrize("start", [1, 63, 65])
+    def test_block_start_off_a_chunk_boundary_rejected(self, start):
+        cat = tiny_catalog()
+        with pytest.raises(ValueError, match="chunk boundary"):
+            montecarlo._count_outcomes([(cat["fast"], 1)], [(cat["slow"], 1)],
+                                       ModelId.APX1, 0, start, 200)
+
+
 class TestRunExperiment:
     def test_forced_draw_splits_evenly(self):
         spec = ExperimentSpec(matchup=matchup([("fast", 1)], [("fast", 1)]),
@@ -137,6 +161,16 @@ class TestRunExperiment:
         assert result.stalemate_count == 3
         assert result.draw == 1.0
 
+    def test_slow_battle_ends_as_the_oracle_says(self):
+        # a 0.01-DPS unit against a 0-DPS one of equal health: the oracle gives
+        # win1 = 1; playing every idle round hit the round cap in 11% of trials
+        cat = UnitCatalog([make_unit("weak", health=50, dps=0.01),
+                           make_unit("idle", health=50, dps=0.0)])
+        spec = ExperimentSpec(matchup=matchup([("weak", 1)], [("idle", 1)]),
+                              model=ModelId.APX1, trials=200, master_seed=1)
+        result = run_experiment(spec, cat)
+        assert result.win1 == 1.0 and result.stalemate_count == 0
+
     def test_conditional_survivors(self):
         # fast pair vs one slow: army1 always wins with 1 or 2 survivors
         cat = UnitCatalog([make_unit("pair", health=5, dps=10.0),
@@ -192,41 +226,59 @@ class TestRunExperiment:
                            model=ModelId.APX1, trials=0)
 
 
+class InlinePool:
+    """Records each pool's size and runs every task in this process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestWorkerPool:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "started", [])
+        return InlinePool.started
+
     @pytest.mark.parametrize("n_jobs, cpus, workers", [
         (5000, 4, 4),  # capped by the CPUs
-        (5000, 64, 30),  # capped by the blocks: 2 specs x 15 one-trial blocks
+        (5000, 64, 30),  # capped by the blocks: 2 specs x 15 one-chunk blocks
         (2, 64, 2),
         (3, None, 1),  # CPU count unknown
     ])
-    def test_workers_capped(self, monkeypatch, n_jobs, cpus, workers):
-        started = []
-
-        class InlinePool:
-            """Records the pool size and runs every task in this process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_workers_capped(self, monkeypatch, started, n_jobs, cpus, workers):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         specs = [ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
-                                model=model, trials=15, master_seed=8)
+                                model=model, trials=15 * montecarlo.CHUNK, master_seed=8)
                  for model in (ModelId.APX1, ModelId.APX4)]
         serial = run_experiments(specs, tiny_catalog())
         assert run_experiments(specs, tiny_catalog(), n_jobs=n_jobs) == serial
         assert started == [workers]
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+    def test_jobs_change_no_result(self, monkeypatch, started, trials):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX4, trials=trials, master_seed=21)
+        serial = run_experiment(spec, tiny_catalog())
+        for n_jobs in (2, 3, 7):
+            assert run_experiment(spec, tiny_catalog(), n_jobs=n_jobs) == serial
+        chunks = -(-trials // montecarlo.CHUNK)
+        # a pool starts only where there is more than one whole chunk to split
+        assert started == ([min(n, chunks) for n in (2, 3, 7)] if chunks > 1 else [])
 
 
 class TestSampleOutcomes:

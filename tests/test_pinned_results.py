@@ -2,12 +2,12 @@
 
 A rewrite of the engine or the Monte Carlo loop must keep every float
 operation and every random draw in the same order, so that a given
-(seed, trials) gives the same results. These digests were computed before
-the engine's hot path was rewritten around per-experiment tables; a change
-that alters the random streams or a model rule on purpose must say so and
-pin new digests. The exact-distribution digests were computed with the
-recursive oracle that preceded forward mass propagation, and the
-1000-trial digest before the engine cached round pools.
+(seed, trials) gives the same results; a change that alters the random
+streams or a model rule on purpose must say so and pin new digests. The
+sampled digests were last re-pinned when one random stream came to serve
+each 64-trial chunk and lottery states came to skip their idle rounds. The
+exact-distribution digests were computed with the recursive oracle that
+preceded forward mass propagation.
 """
 
 import hashlib
@@ -16,9 +16,9 @@ from sc2combat import ExperimentSpec, MatchupSpec, ModelId, builtin_matchups, fi
 from sc2combat import run_experiment
 from sc2combat import enumerate_compositions, sample_outcomes
 
-GRID_DIGEST = "3d71ce5ff3fdb85c94fe265c0a4a9eea73393ac98c888d52a24ab8101649f176"
-MIXED_4V4_DIGEST = "63478e76393bf93fa7385007bf2ed6d1820ec391500e2d94a7a43a4af1c54c58"
-LONG_RUN_DIGEST = "5bd6254b9fdc369ca297249854607bfb9e0ca95814d182c086f02dbabe19337f"
+GRID_DIGEST = "88571bcb522041d50f3d27a565cc783a673c8f7db73f02f51b9601333bcfeb44"
+MIXED_4V4_DIGEST = "20b2a8dc233f6233e30e349ee16177d49a7967770fd58fc7cf7e4d40433aff10"
+LONG_RUN_DIGEST = "d81e152ed2af9fbde599ed0ea89ea548ea34a27c28fb4d805e009cac3f4ed82f"
 
 # Mixed battles of melee, ranged and bonus units; one digest covers the
 # sorted outcomes of all four models.
