@@ -38,16 +38,22 @@ TABLE1_COLUMNS = ("round", "type", "match",
 _DEFAULT_TRIALS, _DEFAULT_SEED = 1000, 0
 
 
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    parser.add_argument("--output", metavar="PATH", help="write report here instead of stdout")
+
+
 def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> None:
     parser.add_argument("--catalog", metavar="PATH",
                         help="unit catalog file (default: bundled catalog, "
                              "or $SC2COMBAT_CATALOG if set)")
-    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    parser.add_argument("--output", metavar="PATH", help="write report here instead of stdout")
+    _add_output(parser)
     if simulation:
-        parser.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
-        parser.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-        parser.add_argument("--jobs", type=int, default=1,
+        # no argparse defaults: None marks a flag not given, which _first_given
+        # resolves and mae without --simulate rejects
+        parser.add_argument("--trials", type=int)
+        parser.add_argument("--seed", type=int)
+        parser.add_argument("--jobs", type=int,
                             help="worker processes (results identical for any value)")
 
 
@@ -76,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("apx1", "apx2", "apx3", "apx4"),
                        help="model to run (overrides the scenario file)")
     _add_common(p_run)
-    # None marks a flag not given, so _cmd_run can tell it from a default
-    p_run.set_defaults(func=_cmd_run, trials=None, seed=None)
+    p_run.set_defaults(func=_cmd_run)
 
     p_rep = sub.add_parser("reproduce", help="rerun builtin matchups, reference-table layout")
     _add_filters(p_rep)
@@ -94,17 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run fresh simulations instead of the bundled model rows")
     p_mae.add_argument("--chart", action="store_true", help="append a plain-text bar chart")
     _add_common(p_mae)
-    # --simulate runs every builtin matchup under every model; None marks a
-    # simulation flag not given, which _cmd_mae requires without --simulate
-    p_mae.set_defaults(func=_cmd_mae, model="all", round_="all", match="all",
-                       trials=None, seed=None, jobs=None)
+    # --simulate runs every builtin matchup under every model
+    p_mae.set_defaults(func=_cmd_mae, model="all", round_="all", match="all")
 
     p_units = sub.add_parser("list-units", help="show the unit catalog")
     _add_common(p_units, simulation=False)
     p_units.set_defaults(func=_cmd_list_units)
 
     p_match = sub.add_parser("list-matchups", help="show the builtin matchups")
-    _add_common(p_match, simulation=False)
+    _add_output(p_match)
     p_match.set_defaults(func=_cmd_list_matchups)
 
     return parser
@@ -125,40 +128,46 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _run_selected(args: argparse.Namespace, catalog: UnitCatalog) -> list[AggregateResult]:
-    """Every selected model on every selected builtin matchup, model-major.
-    The filter values are already restricted by the parser's choices."""
+def _first_given(*values: int | None) -> int:
+    return next(value for value in values if value is not None)
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _run_selected(args: argparse.Namespace) -> list[AggregateResult]:
+    """Every selected model on every selected builtin matchup, in report
+    order: by round, then model, then pairing. The filter values are already
+    restricted by the parser's choices."""
     models = list(ModelId) if args.model == "all" else [ModelId.parse(args.model)]
     matchups = [m for m in builtin_matchups()
                 if args.round_ in ("all", str(m.round))
                 and args.match in ("all", m.pairing.lower())]
-    specs = [ExperimentSpec(matchup=matchup, model=model,
-                            trials=args.trials, master_seed=args.seed)
-             for model in models for matchup in matchups]
-    return run_experiments(specs, catalog, n_jobs=args.jobs)
+    trials = _first_given(args.trials, _DEFAULT_TRIALS)
+    seed = _first_given(args.seed, _DEFAULT_SEED)
+    specs = sorted((ExperimentSpec(matchup=matchup, model=model, trials=trials, master_seed=seed)
+                    for model in models for matchup in matchups),
+                   key=lambda s: (s.matchup.round, s.model.value,
+                                  PAIRINGS.index(s.matchup.pairing)))
+    return run_experiments(specs, _catalog_from(args), n_jobs=_first_given(args.jobs, 1))
+
+
+def _number(value: float, digits: int, fmt: str) -> object:
+    """A number cell: text with ``digits`` decimals, or in JSON the rounded float."""
+    return round(value, digits) if fmt == "json" else f"{value:.{digits}f}"
 
 
 def _survivor_cells(means: tuple[float, ...] | None, fmt: str) -> list[object]:
-    """Four survivor columns; integers in table view, one decimal otherwise."""
-    cells: list[object] = []
-    for i in range(4):
-        if means is None or i >= len(means):
-            value = None if means is None else 0.0
-        else:
-            value = means[i]
-        if value is None:
-            cells.append(0 if fmt == "table" else None)
-        elif fmt == "table":
-            cells.append(round(value))
-        elif fmt == "csv":
-            cells.append(f"{value:.1f}")
-        else:
-            cells.append(round(value, 1))
-    return cells
-
-
-def _win_cell(value: float, fmt: str) -> object:
-    return f"{value:.2f}" if fmt != "json" else round(value, 2)
+    """Four survivor columns, padded with zeros; integers in table view, one
+    decimal otherwise."""
+    if means is None:
+        return [0 if fmt == "table" else None] * 4
+    values = (list(means) + [0.0] * 4)[:4]
+    if fmt == "table":
+        return [round(value) for value in values]
+    return [_number(value, 1, fmt) for value in values]
 
 
 def _table1_row(result: AggregateResult, fmt: str) -> list[object]:
@@ -167,12 +176,8 @@ def _table1_row(result: AggregateResult, fmt: str) -> list[object]:
         [matchup.round, result.spec.model.name, matchup.pairing]
         + _survivor_cells(result.mean_survivors1, fmt)
         + _survivor_cells(result.mean_survivors2, fmt)
-        + [_win_cell(result.reported_win1, fmt), _win_cell(result.reported_win2, fmt)]
+        + [_number(result.reported_win1, 2, fmt), _number(result.reported_win2, 2, fmt)]
     )
-
-
-def _first_given(*values: int | None) -> int:
-    return next(value for value in values if value is not None)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -185,7 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = _first_given(args.seed, scenario.seed, _DEFAULT_SEED)
     spec = ExperimentSpec(matchup=scenario.matchup, model=model,
                           trials=trials, master_seed=seed)
-    result = run_experiment(spec, catalog, n_jobs=args.jobs)
+    result = run_experiment(spec, catalog, n_jobs=_first_given(args.jobs, 1))
 
     def survivors(names: Sequence[str], means: tuple[float, ...] | None) -> object:
         if means is None:
@@ -201,8 +206,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                "win1", "win2", "draw", "stalemates", "survivors1", "survivors2")
     row = [
         scenario.matchup.label, model.name, trials, seed,
-        _win_cell(result.win1, args.format), _win_cell(result.win2, args.format),
-        _win_cell(result.draw, args.format), result.stalemate_count,
+        _number(result.win1, 2, args.format), _number(result.win2, 2, args.format),
+        _number(result.draw, 2, args.format), result.stalemate_count,
         survivors(names1, result.mean_survivors1),
         survivors(names2, result.mean_survivors2),
     ]
@@ -211,29 +216,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    catalog = _catalog_from(args)
-    results = _run_selected(args, catalog)
-    results.sort(key=lambda r: (r.spec.matchup.round, r.spec.model.value,
-                                PAIRINGS.index(r.spec.matchup.pairing)))
-    rows = [_table1_row(result, args.format) for result in results]
+    rows = [_table1_row(result, args.format) for result in _run_selected(args)]
     _emit(args, report.render(args.format, TABLE1_COLUMNS, rows))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    catalog = _catalog_from(args)
-    results = _run_selected(args, catalog)
-    rows = report.comparison_rows(reference_table(), results)
-    rows.sort(key=lambda r: (r.round, r.model.value, PAIRINGS.index(r.match)))
+    rows = report.comparison_rows(reference_table(), _run_selected(args))
     columns = ("round", "match", "model", "win1_sim", "win1_model", "win1_test",
                "delta_vs_test", "delta_vs_model")
     cells = [
         [row.round, row.match, row.model.name,
-         _win_cell(row.simulated_win1, args.format),
-         _win_cell(row.reference_win1, args.format),
-         _win_cell(row.test_win1, args.format),
-         _win_cell(row.delta_vs_test, args.format),
-         _win_cell(row.delta_vs_reference, args.format)]
+         *(_number(value, 2, args.format)
+           for value in (row.simulated_win1, row.reference_win1, row.test_win1,
+                         row.delta_vs_test, row.delta_vs_reference))]
         for row in rows
     ]
     _emit(args, report.render(args.format, columns, cells))
@@ -241,27 +237,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_mae(args: argparse.Namespace) -> int:
-    reference = reference_table()
-    if args.simulate:
-        args.trials = _first_given(args.trials, _DEFAULT_TRIALS)
-        args.seed = _first_given(args.seed, _DEFAULT_SEED)
-        args.jobs = _first_given(args.jobs, 1)
-        summary = report.mae_by_model(reference, _run_selected(args, _catalog_from(args)))
-    else:
-        given = [f"--{flag}" for flag in ("trials", "seed", "jobs")
-                 if getattr(args, flag) is not None]
-        if given:
-            print(f"error: --simulate is required by {', '.join(given)}", file=sys.stderr)
-            return 2
-        summary = report.mae_by_model(reference)
-    columns = ("model", "mae")
-    rows = [
-        [model.name, f"{summary.errors[model]:.4f}" if args.format != "json"
-         else round(summary.errors[model], 4)]
-        for model in ModelId
-    ]
-    text = report.render(args.format, columns, rows)
-    if args.chart and args.format == "table":
+    if args.chart and args.format != "table":
+        return _usage_error("--chart needs --format table")
+    given = [f"--{flag}" for flag in ("catalog", "trials", "seed", "jobs")
+             if getattr(args, flag) is not None]
+    if given and not args.simulate:
+        return _usage_error(f"--simulate is required by {', '.join(given)}")
+    results = _run_selected(args) if args.simulate else None
+    summary = report.mae_by_model(reference_table(), results)
+    rows = [[model.name, _number(summary.errors[model], 4, args.format)] for model in ModelId]
+    text = report.render(args.format, ("model", "mae"), rows)
+    if args.chart:
         text += "\n\n" + report.ascii_bar_chart(summary)
     _emit(args, text)
     return 0
@@ -307,12 +293,10 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     for flag in ("trials", "jobs"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
-            print(f"error: --{flag} must be at least 1", file=sys.stderr)
-            return 2
+            return _usage_error(f"--{flag} must be at least 1")
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed < SEED_LIMIT:
-        print("error: --seed must be in [0, 2**64)", file=sys.stderr)
-        return 2
+        return _usage_error("--seed must be in [0, 2**64)")
     try:
         return args.func(args)
     except (CombatError, OSError) as exc:

@@ -181,9 +181,9 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     ``n_jobs`` > 1 splits each spec's trials into at most ``n_jobs`` blocks
     of whole ``CHUNK``-trial chunks (the last block may end mid-chunk) and
     runs the blocks of all specs on one pool of worker processes, no more of
-    them than there are blocks or CPUs. A spec's result is the sum of its
-    blocks' outcome counts, so it is identical to a serial run for any
-    ``n_jobs``.
+    them than there are blocks or CPUs; where that is one, they run serially,
+    with no pool. A spec's result is the sum of its blocks' outcome counts,
+    so it is identical to a serial run for any ``n_jobs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -196,13 +196,13 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]
     totals: list[Counter[Outcome]] = [Counter() for _ in specs]
-    if n_jobs == 1 or len(blocks) <= 1:
+    workers = min(n_jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         for k, args in blocks:
             totals[k].update(_count_outcomes(*args))
     else:
         # imported here: it loads multiprocessing, ~30 ms that serial runs need not pay
         from concurrent.futures import ProcessPoolExecutor
-        workers = min(n_jobs, len(blocks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(k, pool.submit(_count_outcomes, *args)) for k, args in blocks]
             for k, future in futures:

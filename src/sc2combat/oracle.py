@@ -5,9 +5,11 @@ engine's rules core: each side is an engine ArmyState, whose effective stats
 are built once per enumeration and whose ``eligible`` names the classes a
 target is drawn from, and each round's damage pools come from
 engine.compute_pool. What it does on its own is spend those pools: where
-engine.apply_pool draws targets and kill rolls, the enumeration works out
-every target selection and probabilistic kill with exact rational
-arithmetic, so comparing the two checks the engine's sampling.
+the engine's trial loop draws targets and kill rolls (engine._spend, or one
+draw per played round in a lottery state), the enumeration works out every
+target selection and probabilistic kill with exact rational arithmetic.
+Comparing the two, through the sampled outcomes of
+montecarlo.sample_outcomes, checks the engine's sampling.
 
 A battle state is (counts1, counts2, first_round). The enumeration
 propagates probability mass forward: it starts with mass 1 on the opening
@@ -110,8 +112,7 @@ def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
             else:
                 p_kill = Fraction(pool) / Fraction(health)
                 out[killed] = out.get(killed, Fraction(0)) + p_select * p_kill
-                if p_kill != 1:
-                    out[counts] = out.get(counts, Fraction(0)) + p_select * (1 - p_kill)
+                out[counts] = out.get(counts, Fraction(0)) + p_select * (1 - p_kill)
 
     expand(pool, counts, Fraction(1))
     return out

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engine import ModelId
 from .errors import ScenarioError
@@ -50,6 +50,16 @@ def _reference_index(reference: Iterable[ReferenceRow]) -> dict[tuple[int, str, 
     return {(row.round, row.type, row.match): row for row in reference}
 
 
+def _simulated(results: Iterable[AggregateResult]) -> Iterator[tuple[int, str, ModelId, float]]:
+    """(round, pairing, model, reported win1) of each result, in order; only
+    a builtin matchup has a place in the reference table."""
+    for result in results:
+        matchup = result.spec.matchup
+        if matchup.round is None or matchup.pairing is None:
+            raise ScenarioError("simulated results must come from builtin matchups")
+        yield matchup.round, matchup.pairing, result.spec.model, result.reported_win1
+
+
 def mae_by_model(reference: Iterable[ReferenceRow],
                  simulated: Iterable[AggregateResult] | None = None) -> ModelErrorSummary:
     """Mean absolute error of each model's win rate against the test rows.
@@ -66,58 +76,36 @@ def mae_by_model(reference: Iterable[ReferenceRow],
     if {(rnd, match) for rnd, _, match in index} != set(matches):
         raise ScenarioError("reference set has model rows without a matching Test row")
 
-    sim_index: dict[tuple[int, str, ModelId], float] = {}
-    if simulated is not None:
-        for result in simulated:
-            matchup = result.spec.matchup
-            if matchup.round is None or matchup.pairing is None:
-                raise ScenarioError("simulated results must come from builtin matchups")
-            sim_index[(matchup.round, matchup.pairing, result.spec.model)] = result.reported_win1
+    if simulated is None:
+        values = {(rnd, match, ModelId[kind]): row.win1
+                  for (rnd, kind, match), row in index.items() if kind != "Test"}
+    else:
+        values = {(rnd, match, model): win1 for rnd, match, model, win1 in _simulated(simulated)}
 
     errors: dict[ModelId, float] = {}
     for model in ModelId:
         deltas = []
         for rnd, match in matches:
-            test = index[(rnd, "Test", match)]
-            if simulated is None:
-                model_row = index.get((rnd, model.name, match))
-                if model_row is None:
-                    raise ScenarioError(
-                        f"reference set is missing the round {rnd} {model.name} {match} row"
-                    )
-                value = model_row.win1
-            else:
-                if (rnd, match, model) not in sim_index:
-                    raise ScenarioError(
-                        f"no simulated result for round {rnd} {match} {model.name}"
-                    )
-                value = sim_index[(rnd, match, model)]
-            deltas.append(abs(value - test.win1))
+            if (rnd, match, model) not in values:
+                raise ScenarioError(f"no {model.name} win rate for round {rnd} {match}")
+            deltas.append(abs(values[(rnd, match, model)] - index[(rnd, "Test", match)].win1))
         errors[model] = sum(deltas) / len(deltas)
     return ModelErrorSummary(errors)
 
 
 def comparison_rows(reference: Iterable[ReferenceRow],
                     simulated: Iterable[AggregateResult]) -> list[ComparisonRow]:
-    """Pair simulated results with their reference model and test rows."""
+    """Pair simulated results, in their order, with their reference model and test rows."""
     index = _reference_index(reference)
     rows = []
-    for result in simulated:
-        matchup = result.spec.matchup
-        if matchup.round is None or matchup.pairing is None:
-            raise ScenarioError("comparison requires builtin matchups")
-        key_model = (matchup.round, result.spec.model.name, matchup.pairing)
-        key_test = (matchup.round, "Test", matchup.pairing)
+    for rnd, match, model, win1 in _simulated(simulated):
+        key_model = (rnd, model.name, match)
+        key_test = (rnd, "Test", match)
         if key_model not in index or key_test not in index:
             raise ScenarioError(f"reference rows missing for {key_model}")
-        rows.append(ComparisonRow(
-            round=matchup.round,
-            match=matchup.pairing,
-            model=result.spec.model,
-            simulated_win1=result.reported_win1,
-            reference_win1=index[key_model].win1,
-            test_win1=index[key_test].win1,
-        ))
+        rows.append(ComparisonRow(round=rnd, match=match, model=model, simulated_win1=win1,
+                                  reference_win1=index[key_model].win1,
+                                  test_win1=index[key_test].win1))
     return rows
 
 

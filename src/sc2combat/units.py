@@ -26,11 +26,6 @@ ARMOR_HEALTH_FACTOR = 1.5
 
 DEFAULT_CATALOG_ENV = "SC2COMBAT_CATALOG"
 
-_RECORD_KEYS = {
-    "name", "race", "health", "shields", "armor", "dps", "aoe_area",
-    "ranged", "attributes", "bonus_dps", "bonus_aoe_area", "bonus_vs",
-}
-
 CatalogSource = Union[str, Path, IO[str]]
 
 # libyaml's C parser when PyYAML was built with it, else the pure-Python one;
@@ -125,37 +120,50 @@ class UnitCatalog:
         return list(self._entries)
 
 
+def _race(value: object) -> Race:
+    try:
+        return Race(str(value).lower())
+    except ValueError:
+        raise CatalogError(f"unknown race: {value!r}") from None
+
+
+def _tags(values: list) -> frozenset[str]:
+    return frozenset(str(value).lower() for value in values)
+
+
+# (YAML key, UnitClass field, conversion of the YAML value), in dump order
+_RECORD_FIELDS = (
+    ("name", "name", str),
+    ("race", "race", _race),
+    ("health", "base_health", int),
+    ("shields", "shields", int),
+    ("armor", "armor", int),
+    ("dps", "base_dps", float),
+    ("aoe_area", "aoe_area", float),
+    ("ranged", "ranged", bool),
+    ("attributes", "attributes", _tags),
+    ("bonus_dps", "bonus_base_dps", float),
+    ("bonus_aoe_area", "bonus_aoe_area", float),
+    ("bonus_vs", "bonus_vs", _tags),
+)
+
+
 def _parse_record(record: object) -> UnitClass:
     if not isinstance(record, dict):
         raise CatalogError(f"unit record must be a mapping, got {type(record).__name__}")
-    missing = _RECORD_KEYS - record.keys()
-    unknown = record.keys() - _RECORD_KEYS
+    keys = {key for key, _, _ in _RECORD_FIELDS}
+    missing = keys - record.keys()
+    unknown = record.keys() - keys
     if missing:
         raise CatalogError(f"unit record missing keys: {sorted(missing)}")
     if unknown:
         raise CatalogError(f"unit record has unknown keys: {sorted(unknown)}")
-    try:
-        race = Race(str(record["race"]).lower())
-    except ValueError:
-        raise CatalogError(f"unknown race: {record['race']!r}") from None
+    _race(record["race"])  # an unknown race is reported before a bad list or value
     for key in ("attributes", "bonus_vs"):
         if not isinstance(record[key], list):
             raise CatalogError(f"{record['name']}: {key} must be a list")
     try:
-        return UnitClass(
-            name=str(record["name"]),
-            race=race,
-            base_health=int(record["health"]),
-            shields=int(record["shields"]),
-            armor=int(record["armor"]),
-            base_dps=float(record["dps"]),
-            aoe_area=float(record["aoe_area"]),
-            ranged=bool(record["ranged"]),
-            attributes=frozenset(str(a).lower() for a in record["attributes"]),
-            bonus_base_dps=float(record["bonus_dps"]),
-            bonus_aoe_area=float(record["bonus_aoe_area"]),
-            bonus_vs=frozenset(str(a).lower() for a in record["bonus_vs"]),
-        )
+        return UnitClass(**{field: convert(record[key]) for key, field, convert in _RECORD_FIELDS})
     except (TypeError, ValueError) as exc:
         raise CatalogError(f"{record.get('name', '?')}: bad field value ({exc})") from exc
 
@@ -212,24 +220,16 @@ def loads_catalog(text: str) -> UnitCatalog:
     return _catalog_from(parse_yaml(text, "catalog", CatalogError))
 
 
+def _dumped(value: object) -> object:
+    """A field's YAML value: a race by name, a tag set as a sorted list."""
+    return value.value if isinstance(value, Race) else (
+        sorted(value) if isinstance(value, frozenset) else value)
+
+
 def dumps_catalog(catalog: UnitCatalog) -> str:
     """Serialize a catalog back to YAML; loads_catalog round-trips it."""
-    records = []
-    for u in catalog:
-        records.append({
-            "name": u.name,
-            "race": u.race.value,
-            "health": u.base_health,
-            "shields": u.shields,
-            "armor": u.armor,
-            "dps": u.base_dps,
-            "aoe_area": u.aoe_area,
-            "ranged": u.ranged,
-            "attributes": sorted(u.attributes),
-            "bonus_dps": u.bonus_base_dps,
-            "bonus_aoe_area": u.bonus_aoe_area,
-            "bonus_vs": sorted(u.bonus_vs),
-        })
+    records = [{key: _dumped(getattr(unit, field)) for key, field, _ in _RECORD_FIELDS}
+               for unit in catalog]
     return yaml.safe_dump(records, sort_keys=False)
 
 

@@ -210,6 +210,18 @@ class TestUsageErrors:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --seed")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("list-matchups", "--catalog", "missing.yaml"), "--catalog"),
+        (("mae", "--catalog", "missing.yaml"), "--catalog"),
+        (("mae", "--chart", "--format", "csv"), "--chart"),
+        (("mae", "--chart", "--format", "json"), "--chart"),
+    ])
+    def test_flag_without_effect_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1 and flag in lines[0]
+
 
 class TestReproduce:
     def test_single_row_structure(self, capsys):
