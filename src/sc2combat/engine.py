@@ -33,6 +33,13 @@ full cache (``_POOL_CACHE_ENTRIES``) keeps its entries and computes other
 rounds afresh, so results are bit-identical with or without it: every
 float operation and every random draw happens in the same order either
 way.
+
+A miss is cheaper where one side's counts repeat, as they do when a round
+kills only on the other side: each ``ArmyState`` keeps a side memo of its
+DPS sum keyed by its own counts (see ``compute_pool``), valid for any
+defender and model and bounded and bit-identical in the same way. The
+bonus pool depends on both sides; it reads per-defender rows built by
+``ArmyState.bonus_targets``.
 """
 
 from __future__ import annotations
@@ -41,8 +48,7 @@ import enum
 import math
 import random
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import StalemateError
 from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health
@@ -89,8 +95,7 @@ class Winner(enum.Enum):
     DRAW = "draw"
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """Result of one simulated battle."""
 
     winner: Winner
@@ -108,8 +113,9 @@ class ArmyState:
     """
 
     __slots__ = ("classes", "counts", "initial_counts", "eff_health", "eff_dps",
-                 "eff_bonus_dps", "ranged", "melee", "indices",
-                 "_bonus_against", "_bonus_table", "_pools_against", "_pools_model", "_pools")
+                 "eff_bonus_dps", "ranged", "melee", "indices", "_dps_sums",
+                 "_bonus_against", "_bonus_table", "_bonus_rows",
+                 "_pools_against", "_pools_model", "_pools")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
         if any(count < 0 for _, count in composition):
@@ -123,18 +129,23 @@ class ArmyState:
         self.ranged: tuple[bool, ...] = tuple(u.ranged for u in self.classes)
         self.melee: tuple[int, ...] = tuple(i for i, r in enumerate(self.ranged) if not r)
         self.indices: tuple[int, ...] = tuple(range(len(self.classes)))
-        self._bonus_against, self._bonus_table = None, ()  # see bonus_targets
+        self._dps_sums: dict[tuple[int, ...], float] = {}  # see compute_pool
+        self._bonus_against, self._bonus_table, self._bonus_rows = None, (), ()  # see bonus_targets
         self._pools_against, self._pools_model, self._pools = None, None, {}  # see _round_pools
 
     def bonus_targets(self, defender: "ArmyState") -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(i, js)`` for each class ``i`` with bonus damage, ``js`` being the
         defender classes it gets bonus damage against. Built once per
-        ``defender.classes`` object, so no attribute test runs per round."""
+        ``defender.classes`` object, so no attribute test runs per round, along
+        with the rows ``(i, js, bonus DPS of i, i is ranged)`` that
+        ``bonus_pool`` reads."""
         if self._bonus_against is not defender.classes:
             self._bonus_table = tuple(
                 (i, tuple(j for j, target in enumerate(defender.classes)
                           if not unit.bonus_vs.isdisjoint(target.attributes)))
                 for i, unit in enumerate(self.classes) if self.eff_bonus_dps[i] != 0.0)
+            self._bonus_rows = tuple((i, js, self.eff_bonus_dps[i], self.ranged[i])
+                                     for i, js in self._bonus_table)
             self._bonus_against = defender.classes
         return self._bonus_table
 
@@ -175,35 +186,51 @@ def bonus_pool(attacker: ArmyState, defender: ArmyState, ranged_only: bool) -> f
 
     The fraction is recomputed from current alive counts every round.
     """
-    dcounts = defender.counts
+    if attacker._bonus_against is not defender.classes:
+        attacker.bonus_targets(defender)
+    acounts, dcounts = attacker.counts, defender.counts
     defenders = sum(dcounts)
     if defenders == 0:
         return 0.0
     total = 0.0
-    for i, targets in attacker.bonus_targets(defender):
-        count = attacker.counts[i]
-        if count == 0 or (ranged_only and not attacker.ranged[i]):
+    for i, targets, dps, ranged in attacker._bonus_rows:
+        count = acounts[i]
+        if count == 0 or (ranged_only and not ranged):
             continue
-        vulnerable = sum([dcounts[j] for j in targets])
+        vulnerable = 0
+        for j in targets:
+            vulnerable += dcounts[j]
         if vulnerable:
-            total += count * attacker.eff_bonus_dps[i] * (vulnerable / defenders)
+            total += count * dps * (vulnerable / defenders)
     return total
 
 
 def compute_pool(attacker: ArmyState, defender: ArmyState,
                  model: ModelId, is_first_round: bool) -> float:
     """One round's damage pool for ``attacker``, per the model's rules: the
-    DPS of the contributing classes, then the bonus pool added once."""
+    DPS of the contributing classes, then the bonus pool added once.
+
+    Outside a ranged-only opening round every class contributes, so the DPS
+    sum depends on the attacker's counts alone. It is memoized on the
+    attacker, keyed by them, for any defender and model; a full memo
+    (``_POOL_CACHE_ENTRIES``) keeps its entries and sums other counts afresh."""
     ranged_only = model.ranged_first_round and is_first_round
-    total = 0.0
     if ranged_only:
+        total = 0.0
         for count, dps, ranged in zip(attacker.counts, attacker.eff_dps, attacker.ranged):
             if count and ranged:
                 total += count * dps
     else:
-        for count, dps in zip(attacker.counts, attacker.eff_dps):
-            if count:
-                total += count * dps
+        sums = attacker._dps_sums
+        key = tuple(attacker.counts)
+        total = sums.get(key)
+        if total is None:
+            total = 0.0
+            for count, dps in zip(key, attacker.eff_dps):
+                if count:
+                    total += count * dps
+            if len(sums) < _POOL_CACHE_ENTRIES:
+                sums[key] = total
     if model.bonus_pools:
         total += bonus_pool(attacker, defender, ranged_only)
     return total

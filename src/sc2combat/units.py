@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -59,6 +60,13 @@ class UnitClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise CatalogError("unit name must be non-empty")
+        try:  # a NaN or infinite stat, or a product past the largest float
+            finite = all(math.isfinite(stat) for stat in (
+                effective_health(self), effective_dps(self), effective_bonus_dps(self)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise CatalogError(f"{self.name}: effective health and DPS must be finite")
         if self.base_health < 0 or self.shields < 0 or self.armor < 0:
             raise CatalogError(f"{self.name}: health, shields and armor must be non-negative")
         if self.base_health + self.shields <= 0:
@@ -131,13 +139,20 @@ def _tags(values: list) -> frozenset[str]:
     return frozenset(str(value).lower() for value in values)
 
 
+def _integer(value: object) -> int:
+    """A YAML integer, taken as it is: a float, bool or string is an error."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 # (YAML key, UnitClass field, conversion of the YAML value), in dump order
 _RECORD_FIELDS = (
     ("name", "name", str),
     ("race", "race", _race),
-    ("health", "base_health", int),
-    ("shields", "shields", int),
-    ("armor", "armor", int),
+    ("health", "base_health", _integer),
+    ("shields", "shields", _integer),
+    ("armor", "armor", _integer),
     ("dps", "base_dps", float),
     ("aoe_area", "aoe_area", float),
     ("ranged", "ranged", bool),
@@ -164,7 +179,7 @@ def _parse_record(record: object) -> UnitClass:
             raise CatalogError(f"{record['name']}: {key} must be a list")
     try:
         return UnitClass(**{field: convert(record[key]) for key, field, convert in _RECORD_FIELDS})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
         raise CatalogError(f"{record.get('name', '?')}: bad field value ({exc})") from exc
 
 

@@ -92,6 +92,16 @@ class TestListCommands:
         assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
                               "error: catalog is not UTF-8 text: ")
 
+    @pytest.mark.parametrize("old, new", [("health: 100", "health: .inf"),
+                                          ("armor: 1", "armor: 2000"),
+                                          ("health: 100", "health: 1" + "0" * 400)],
+                             ids=["inf-health", "armor-2000", "400-digit-health"])
+    def test_overflowing_catalog_stat_is_data_error(self, capsys, tmp_path, old, new):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(TINY_CATALOG.replace(old, new))
+        assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
+                              "error: zealot: ")
+
     def test_undecodable_env_var_catalog_is_data_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "tiny.yaml"
         path.write_bytes(UNDECODABLE)

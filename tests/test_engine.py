@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from sc2combat import (
     ModelId,
     StalemateError,
     TargetPolicy,
+    TrialOutcome,
     Winner,
     apply_pool,
     bonus_pool,
@@ -95,6 +97,50 @@ class TestComputePool:
                         (make_unit("la", attrs=("light", "armored")), 1))
         assert compute_pool(attacker, defender, model, True) == first
         assert compute_pool(attacker, defender, model, False) == later
+
+
+class TestSidePoolMemo:
+    """``compute_pool`` keeps each side's DPS sum in a memo keyed by its
+    counts, for any defender and model; every pool equals a fresh state's."""
+
+    ATTACKER = ((make_unit("m", dps=4.0, bonus=3.0, bonus_vs=("light",)), 3),
+                (make_unit("r", dps=2.5, ranged=True, bonus=5.0, bonus_vs=("armored",)), 2),
+                (make_unit("p", dps=1.1, ranged=True), 2))
+    DEFENDERS = (((make_unit("l", attrs=("light",)), 2), (make_unit("a", attrs=("armored",)), 2)),
+                 ((make_unit("la", attrs=("light", "armored")), 2),
+                  (make_unit("b", attrs=("biological",)), 1), (make_unit("x"), 1)))
+
+    @staticmethod
+    def pools(attacker, defender):
+        return [compute_pool(attacker, defender, model, first)
+                for model in ModelId for first in (True, False)]
+
+    def fresh_pools(self, counts, defender):
+        # new states for every pool, so no memo entry is ever read
+        classes = [unit for unit, _ in self.ATTACKER]
+        return [compute_pool(army(*zip(classes, counts)),
+                             army(*zip(defender.classes, defender.counts)), model, first)
+                for model in ModelId for first in (True, False)]
+
+    def test_one_state_against_two_defenders_gives_fresh_pools(self):
+        shared = ArmyState(self.ATTACKER)
+        defenders = [ArmyState(d) for d in self.DEFENDERS]
+        attacker_counts = list(product(range(4), range(3), range(3)))
+        for counts in attacker_counts:
+            for defender in defenders:
+                for defender_counts in product(range(3), repeat=len(defender.counts)):
+                    shared.counts[:], defender.counts[:] = counts, defender_counts
+                    assert self.pools(shared, defender) == self.fresh_pools(counts, defender)
+        assert set(shared._dps_sums) == set(attacker_counts)
+
+    def test_memo_stops_growing_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", 5)
+        shared, defender = ArmyState(self.ATTACKER), ArmyState(self.DEFENDERS[1])
+        for _ in range(2):  # the second pass reads the kept entries
+            for counts in product(range(4), range(3), range(3)):
+                shared.counts[:] = counts
+                assert self.pools(shared, defender) == self.fresh_pools(counts, defender)
+        assert len(shared._dps_sums) == 5
 
 
 class TestBonusPool:
@@ -421,3 +467,27 @@ class TestArmyState:
         assert attacker.bonus_targets(defender) is table
         other = army((make_unit("lite", attrs=("light",)), 1))
         assert attacker.bonus_targets(other) == ((0, (0,)),)
+
+    def test_bonus_rows_follow_the_defenders_classes(self):
+        attacker = army((make_unit("a", bonus=2.0, bonus_vs=("light",)), 1))
+        light_first = army((make_unit("lite", attrs=("light",)), 1),
+                           (make_unit("heavy", attrs=("armored",)), 1))
+        light_last = army((make_unit("heavy", attrs=("armored",)), 1),
+                          (make_unit("lite", attrs=("light",)), 3))
+        assert bonus_pool(attacker, light_first, ranged_only=False) == 1.0
+        # rows kept from light_first would count the 1 heavy unit: 0.5
+        assert bonus_pool(attacker, light_last, ranged_only=False) == 1.5
+        assert bonus_pool(attacker, light_first, ranged_only=False) == 1.0
+
+
+class TestTrialOutcome:
+    def test_fields_construction_immutability_and_repr(self):
+        outcome = TrialOutcome(Winner.ARMY1, (2, 0), (0,), 3)
+        assert outcome == TrialOutcome(winner=Winner.ARMY1, survivors1=(2, 0),
+                                       survivors2=(0,), rounds=3)
+        assert (outcome.winner, outcome.survivors1, outcome.survivors2, outcome.rounds) \
+            == (Winner.ARMY1, (2, 0), (0,), 3)
+        with pytest.raises(AttributeError):
+            outcome.rounds = 4
+        assert repr(outcome) == ("TrialOutcome(winner=<Winner.ARMY1: 'army1'>, "
+                                 "survivors1=(2, 0), survivors2=(0,), rounds=3)")

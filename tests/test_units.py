@@ -1,4 +1,5 @@
 import io
+import math
 from importlib import resources
 
 import pytest
@@ -88,6 +89,13 @@ class TestValidation:
         with pytest.raises(CatalogError):
             make_unit(aoe=0.5)
 
+    @pytest.mark.parametrize("stats", [dict(dps=math.nan), dict(dps=math.inf),
+                                       dict(aoe=math.inf), dict(bonus=math.nan, bonus_vs=("light",)),
+                                       dict(armor=2000), dict(health=10**400)])
+    def test_non_finite_effective_stats_rejected(self, stats):
+        with pytest.raises(CatalogError, match="must be finite"):
+            make_unit(**stats)
+
     def test_duplicate_name_rejected(self):
         marine = make_unit("marine")
         with pytest.raises(CatalogError, match="duplicate"):
@@ -130,6 +138,28 @@ class TestLoading:
     def test_not_a_list(self):
         with pytest.raises(CatalogError, match="list"):
             loads_catalog("name: zealot")
+
+    # a YAML value that overflowed into a traceback or loaded as a wrong stat
+    @pytest.mark.parametrize("old, new", [
+        ("health: 100", "health: .inf"),
+        ("armor: 1", "armor: 2000"),
+        ("health: 100", "health: 1" + "0" * 400),
+        ("dps: 13.33", "dps: .nan"),
+        ("dps: 13.33", "dps: .inf"),
+        ("dps: 13.33", "dps: 1" + "0" * 400),
+        ("aoe_area: 1.0", "aoe_area: .inf"),
+        ("health: 100", "health: 12.7"),
+        ("health: 100", "health: true"),
+        ("shields: 50", "shields: '50'"),
+    ], ids=["inf-health", "armor-2000", "400-digit-health", "nan-dps", "inf-dps",
+            "400-digit-dps", "inf-aoe", "fractional-health", "bool-health", "string-shields"])
+    def test_bad_stat_is_a_catalog_error(self, old, new):
+        with pytest.raises(CatalogError, match="^zealot: "):
+            loads_catalog(ZEALOT_YAML.replace(old, new))
+
+    def test_large_finite_stats_load(self):
+        zealot = loads_catalog(ZEALOT_YAML.replace("health: 100", "health: 1" + "0" * 300))["zealot"]
+        assert effective_health(zealot) == (10**300 + 50) * 1.5
 
     def test_load_from_stream(self):
         cat = load_catalog(io.StringIO(ZEALOT_YAML))
