@@ -27,6 +27,20 @@ small to guarantee a kill) map a state to itself with some probability q.
 The enumeration folds that loop analytically by dividing the state's mass by
 1 - q before pushing it on, so it needs no round cap. A reachable state with
 q == 1 can never progress and raises StalemateError.
+
+Probabilities are exact integer arithmetic, carried unreduced. A spending
+distribution is integer weights over one denominator. A state's mass, and
+an outcome's probability, is a triple (n, d, u) worth
+n / (d * prod(factors[k] for k in u)): d gathers the small denominators of
+selection odds and kill chances; factors[k] is the numerator of 1 - q, in
+lowest terms, at the k-th folded state, where the large factors come from;
+and u holds the indices of the folded states on the paths in. A factor is
+keyed by the state that made it, not by its value, since distinct states
+(of a mirror battle, say) can share a 1 - q. Two masses add over the lcm of
+their d and the union of their index sets, each numerator times the factors
+it lacks, so no step takes the gcd of two large numbers, as a Fraction does
+on every operation. Each outcome is reduced once, to a Fraction equal to
+the one that step-by-step Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm, prod
 
 from .engine import ArmyState, ModelId, TargetPolicy, Winner, compute_pool
 from .errors import EnumerationLimitError, StalemateError
@@ -42,6 +57,8 @@ from .units import UnitCatalog, UnitClass
 
 # (winner, survivors1, survivors2)
 Outcome = tuple[Winner, tuple[int, ...], tuple[int, ...]]
+# An unreduced probability (n, d, u): n / (d * prod(factors[k] for k in u))
+_Mass = tuple[int, int, frozenset[int]]
 
 _SUM_TOLERANCE = Fraction(1, 10**12)
 
@@ -90,32 +107,65 @@ class ExactDistribution:
 
 
 def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
-                        policy: TargetPolicy) -> dict[tuple[int, ...], Fraction]:
+                        policy: TargetPolicy) -> tuple[dict[tuple[int, ...], int], int]:
     """Distribution of the counts left when ``pool`` is spent on ``army`` at
     ``counts``: every selection/kill branch, exactly, with targets drawn from
-    the classes ``ArmyState.eligible`` names, as ``engine.apply_pool`` does."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    the classes ``ArmyState.eligible`` names, as ``engine.apply_pool`` does.
+    Returned as integer weights over one denominator, in lowest terms."""
+    leaves: list[tuple[tuple[int, ...], int, int]] = []  # (counts, num, den)
 
-    def expand(pool: float, counts: tuple[int, ...], prob: Fraction) -> None:
+    def expand(pool: float, counts: tuple[int, ...], num: int, den: int) -> None:
         if pool <= 0 or not any(counts):
-            out[counts] = out.get(counts, Fraction(0)) + prob
+            leaves.append((counts, num, den))
             return
         eligible, total = army.eligible(policy, counts)
         for i in eligible:
             if not counts[i]:
                 continue
-            p_select = prob * Fraction(counts[i], total)
+            n, d = num * counts[i], den * total
             health = army.eff_health[i]
             killed = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
             if pool >= health:
-                expand(pool - health, killed, p_select)
-            else:
-                p_kill = Fraction(pool) / Fraction(health)
-                out[killed] = out.get(killed, Fraction(0)) + p_select * p_kill
-                out[counts] = out.get(counts, Fraction(0)) + p_select * (1 - p_kill)
+                expand(pool - health, killed, n, d)
+            else:  # kill with chance pool / health, both floats taken exactly
+                pool_n, pool_d = pool.as_integer_ratio()
+                health_n, health_d = health.as_integer_ratio()
+                kill, d = pool_n * health_d, d * pool_d * health_n
+                leaves.append((killed, n * kill, d))
+                leaves.append((counts, n * (pool_d * health_n - kill), d))
 
-    expand(pool, counts, Fraction(1))
-    return out
+    expand(pool, counts, 1, 1)
+    denominator = lcm(*(d for _, _, d in leaves))
+    weights: dict[tuple[int, ...], int] = {}
+    for left, n, d in leaves:
+        weights[left] = weights.get(left, 0) + n * (denominator // d)
+    g = gcd(denominator, *weights.values())
+    return {left: w // g for left, w in weights.items()}, denominator // g
+
+
+def _add_mass(masses: dict, key, n: int, d: int, u: frozenset[int],
+              factors: list[int]) -> bool:
+    """Add the mass ``(n, d, u)`` to ``masses[key]``; True if the key is new.
+    The sum goes over the lcm of the small denominators and the union of
+    the factor sets, each numerator times the factors it lacks."""
+    old = masses.get(key)
+    if old is None:
+        masses[key] = (n, d, u)
+        return True
+    n0, d0, u0 = old
+    if d0 != d:
+        g = gcd(d0, d)
+        n0 *= d // g
+        n *= d0 // g
+        d *= d0 // g
+    if u0 != u:
+        for k in u - u0:
+            n0 *= factors[k]
+        for k in u0 - u:
+            n *= factors[k]
+        u = u0 | u
+    masses[key] = (n0 + n, d, u)
+    return False
 
 
 def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
@@ -137,9 +187,10 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
     # Pop by falling unit total; each state's mass is then complete when it
     # is expanded (see the module docstring).
     start = (counts1, counts2, True)
-    mass: dict[tuple, Fraction] = {start: Fraction(1)}
+    factors: list[int] = []  # numerator of 1 - q at the k-th folded state
+    mass: dict[tuple, _Mass] = {start: (1, 1, frozenset())}
     heap = [(-sum(counts1) - sum(counts2), start)]
-    result: dict[Outcome, Fraction] = {}
+    result: dict[Outcome, _Mass] = {}
     expanded = 0
     while heap:
         key = heappop(heap)[1]
@@ -152,33 +203,41 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
         army2.counts[:] = c2
         pool1 = compute_pool(army1, army2, model, first_round)
         pool2 = compute_pool(army2, army1, model, first_round)
-        dist2 = _apply_distribution(pool1, army2, c2, policy)
-        dist1 = _apply_distribution(pool2, army1, c1, policy)
-        self_prob = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
-        if self_prob == 1:
+        dist2, den2 = _apply_distribution(pool1, army2, c2, policy)
+        dist1, den1 = _apply_distribution(pool2, army1, c1, policy)
+        joint = den1 * den2
+        self_weight = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
+        if self_weight == joint:
             raise StalemateError("neither army can make progress from this state")
-        scale = mass.pop(key) / (1 - self_prob)
+        n, d, u = mass.pop(key)
+        if self_weight:  # divide by 1 - q = rest / joint = (rest / g) / (joint / g)
+            rest = joint - self_weight
+            g = gcd(rest, joint)
+            d *= g
+            if rest != g:
+                u = u | {len(factors)}
+                factors.append(rest // g)
+        else:
+            d *= joint
 
-        for n1, p1 in dist1.items():
-            p1 *= scale
+        for n1, w1 in dist1.items():
+            num1 = n * w1
             alive1 = any(n1)
-            for n2, p2 in dist2.items():
+            for n2, w2 in dist2.items():
                 alive2 = any(n2)
+                num = num1 * w2
                 if alive1 and alive2:
                     if n1 == c1 and n2 == c2 and not first_round:
                         continue
                     successor = (n1, n2, False)
-                    if successor in mass:
-                        mass[successor] += p1 * p2
-                    else:
-                        mass[successor] = p1 * p2
+                    if _add_mass(mass, successor, num, d, u, factors):
                         heappush(heap, (-sum(n1) - sum(n2), successor))
                 else:
                     winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
-                    outcome = (winner, n1, n2)
-                    result[outcome] = result.get(outcome, 0) + p1 * p2
+                    _add_mass(result, (winner, n1, n2), num, d, u, factors)
 
-    return ExactDistribution(result)
+    return ExactDistribution({outcome: Fraction(n, d * prod(factors[k] for k in u))
+                              for outcome, (n, d, u) in result.items()})
 
 
 def enumerate_exact(matchup: MatchupSpec, model: ModelId, catalog: UnitCatalog,

@@ -146,19 +146,40 @@ def _integer(value: object) -> int:
     return value
 
 
+def _number(value: object) -> float:
+    """A YAML integer or float as a float: a bool or string is an error."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value: object) -> bool:
+    """A YAML bool, taken as it is: a string or number is an error."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _string(value: object) -> str:
+    """A YAML string, taken as it is: a number or bool is an error."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 # (YAML key, UnitClass field, conversion of the YAML value), in dump order
 _RECORD_FIELDS = (
-    ("name", "name", str),
+    ("name", "name", _string),
     ("race", "race", _race),
     ("health", "base_health", _integer),
     ("shields", "shields", _integer),
     ("armor", "armor", _integer),
-    ("dps", "base_dps", float),
-    ("aoe_area", "aoe_area", float),
-    ("ranged", "ranged", bool),
+    ("dps", "base_dps", _number),
+    ("aoe_area", "aoe_area", _number),
+    ("ranged", "ranged", _boolean),
     ("attributes", "attributes", _tags),
-    ("bonus_dps", "bonus_base_dps", float),
-    ("bonus_aoe_area", "bonus_aoe_area", float),
+    ("bonus_dps", "bonus_base_dps", _number),
+    ("bonus_aoe_area", "bonus_aoe_area", _number),
     ("bonus_vs", "bonus_vs", _tags),
 )
 
@@ -177,10 +198,13 @@ def _parse_record(record: object) -> UnitClass:
     for key in ("attributes", "bonus_vs"):
         if not isinstance(record[key], list):
             raise CatalogError(f"{record['name']}: {key} must be a list")
-    try:
-        return UnitClass(**{field: convert(record[key]) for key, field, convert in _RECORD_FIELDS})
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
-        raise CatalogError(f"{record.get('name', '?')}: bad field value ({exc})") from exc
+    fields = {}
+    for key, field, convert in _RECORD_FIELDS:
+        try:
+            fields[field] = convert(record[key])
+        except (ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
+            raise CatalogError(f"{record['name']}: bad {key} value ({exc})") from exc
+    return UnitClass(**fields)
 
 
 def parse_yaml(text: str, what: str, error: type[CombatError]) -> object:

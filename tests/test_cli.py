@@ -102,6 +102,12 @@ class TestListCommands:
         assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
                               "error: zealot: ")
 
+    def test_wrong_value_type_in_catalog_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(TINY_CATALOG.replace("ranged: false", "ranged: \"false\""))
+        assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
+                              "error: zealot: bad ranged value ")
+
     def test_undecodable_env_var_catalog_is_data_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "tiny.yaml"
         path.write_bytes(UNDECODABLE)

@@ -7,14 +7,17 @@ streams or a model rule on purpose must say so and pin new digests. The
 sampled digests were last re-pinned when one random stream came to serve
 each 64-trial chunk and lottery states came to skip their idle rounds. The
 exact-distribution digests were computed with the recursive oracle that
-preceded forward mass propagation.
+preceded forward mass propagation, and hold unedited under the unreduced
+integer arithmetic that replaced step-by-step Fractions. The big-fraction
+digests were taken with step-by-step Fractions, before that change.
 """
 
 import hashlib
 
-from sc2combat import ExperimentSpec, MatchupSpec, ModelId, builtin_matchups, find_matchup
-from sc2combat import run_experiment
-from sc2combat import enumerate_compositions, sample_outcomes
+from sc2combat import EnumerationLimits, ExperimentSpec, MatchupSpec, ModelId, builtin_matchups
+from sc2combat import enumerate_compositions, find_matchup, run_experiment, sample_outcomes
+
+from conftest import make_unit
 
 GRID_DIGEST = "88571bcb522041d50f3d27a565cc783a673c8f7db73f02f51b9601333bcfeb44"
 MIXED_4V4_DIGEST = "20b2a8dc233f6233e30e349ee16177d49a7967770fd58fc7cf7e4d40433aff10"
@@ -33,6 +36,23 @@ EXACT_DIGESTS = {
         "b0a099e9942f559c5eeee4e62325aa6aebcf36b694e9151cb87b3e5af698f234",
     ((("stalker", 2), ("sentry", 2)), (("hydralisk", 2), ("roach", 2))):
         "9bb64db58a83f29880385485e8588afd399fe213d909e06ece6b2be70a850583",
+}
+
+# Exact distributions whose denominators run to thousands of bits. The first
+# three are lottery-heavy battles of made-up units: every pool is below every
+# health, so most states fold a self-loop; the mirror battle has distinct
+# states with equal self-loop chances. One digest covers all four models.
+# "big denominators" is a catalog battle under APX4 whose outcome
+# denominators reach 9,002 bits.
+BIG_FRACTION_DIGESTS = {
+    "mixed 3+2 vs 2+4":
+        "065b5fd69cd764f3098f5603bfccc43a60f62de099c150c52cf7778e8146f992",
+    "mixed 2+2 vs 3+2":
+        "904953d668e3aa6a47313a6d84228e3356618ab3e48be20ceb64ac661f315a7c",
+    "mirror 3+2":
+        "9ab5a9c6ec623ae95cc79360cbb8313a74aa9e4847b93db90ac1d7d16241a9fb",
+    "big denominators":
+        "7172c1f3b8931fab043bf9af9840613c4eada9e0a157d39cb4187a9494da0c28",
 }
 
 
@@ -80,3 +100,36 @@ def test_exact_distributions_pinned(catalog):
     """Exact outcome distributions of mixed battles up to 4 units a side."""
     for (army1, army2), digest in EXACT_DIGESTS.items():
         assert exact_digest(army1, army2, catalog) == digest, (army1, army2)
+
+
+def big_fraction_battles(catalog) -> dict[str, tuple[list, list, tuple[ModelId, ...]]]:
+    big = make_unit("big", health=100, dps=1.3, attrs=("armored",))
+    sniper = make_unit("sniper", health=60, dps=0.7, ranged=True)
+    guard = make_unit("guard", health=80, dps=1.1, ranged=True)
+    brute = make_unit("brute", health=45, dps=0.9, bonus=0.4, bonus_vs=("armored",))
+    protoss = [(catalog["zealot"], 3), (catalog["stalker"], 3)]
+    terran = [(catalog["marine"], 3), (catalog["marauder"], 3)]
+    return {
+        "mixed 3+2 vs 2+4": ([(big, 3), (sniper, 2)], [(guard, 2), (brute, 4)], tuple(ModelId)),
+        "mixed 2+2 vs 3+2": ([(big, 2), (sniper, 2)], [(guard, 3), (brute, 2)], tuple(ModelId)),
+        "mirror 3+2": ([(big, 3), (sniper, 2)], [(big, 3), (sniper, 2)], tuple(ModelId)),
+        "big denominators": (protoss, terran, (ModelId.APX4,)),
+    }
+
+
+def hex_digest(comp1, comp2, models) -> str:
+    """Digest of the sorted outcomes with each probability's numerator and
+    denominator in hex: repr of a Fraction past 4300 digits raises ValueError."""
+    limits = EnumerationLimits(max_units_per_side=6)
+    return sha256("\n".join(
+        f"{model.name} {outcome!r} {p.numerator:x} {p.denominator:x}"
+        for model in models
+        for outcome, p in sorted(enumerate_compositions(comp1, comp2, model, limits)
+                                 .outcomes.items(), key=lambda item: repr(item[0]))))
+
+
+def test_big_fraction_distributions_pinned(catalog):
+    """Exact distributions whose denominators are products of many folded
+    self-loop factors."""
+    for name, (comp1, comp2, models) in big_fraction_battles(catalog).items():
+        assert hex_digest(comp1, comp2, models) == BIG_FRACTION_DIGESTS[name], name

@@ -157,6 +157,24 @@ class TestLoading:
         with pytest.raises(CatalogError, match="^zealot: "):
             loads_catalog(ZEALOT_YAML.replace(old, new))
 
+    # a value of the wrong YAML type that a bool(), float() or str() call accepted
+    @pytest.mark.parametrize("old, new, message", [
+        ("ranged: false", "ranged: \"false\"", "^zealot: bad ranged value "),
+        ("dps: 13.33", "dps: true", "^zealot: bad dps value "),
+        ("dps: 13.33", "dps: \"9.7\"", "^zealot: bad dps value "),
+        ("bonus_dps: 0.0", "bonus_dps: false", "^zealot: bad bonus_dps value "),
+        ("aoe_area: 1.0", "aoe_area: '2'", "^zealot: bad aoe_area value "),
+        ("name: zealot", "name: 5", "^5: bad name value "),
+    ], ids=["string-ranged", "bool-dps", "string-dps", "bool-bonus-dps", "string-aoe",
+            "integer-name"])
+    def test_wrong_value_type_is_a_catalog_error(self, old, new, message):
+        with pytest.raises(CatalogError, match=message):
+            loads_catalog(ZEALOT_YAML.replace(old, new))
+
+    def test_integer_dps_loads_as_float(self):
+        zealot = loads_catalog(ZEALOT_YAML.replace("dps: 13.33", "dps: 13"))["zealot"]
+        assert zealot.base_dps == 13.0 and isinstance(zealot.base_dps, float)
+
     def test_large_finite_stats_load(self):
         zealot = loads_catalog(ZEALOT_YAML.replace("health: 100", "health: 1" + "0" * 300))["zealot"]
         assert effective_health(zealot) == (10**300 + 50) * 1.5
