@@ -53,10 +53,6 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import StalemateError
 from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health
 
-# Rounds after which a trial with both armies still standing is declared a
-# stalemate instead of looping forever on pools too small to ever finish it.
-ROUND_CAP = 10_000
-
 # Entries one round-pool cache holds; a full cache stops growing. Bounds the
 # memory of a block whose trials spread over many battle states.
 _POOL_CACHE_ENTRIES = 1024
@@ -359,9 +355,12 @@ def run_trial(army1: ArmyState, army2: ArmyState,
 
     Raises StalemateError in a lottery state where both kill chances are 0
     (both pools are 0 in a round after the first, say), as no round can
-    change anything from then on, or if neither army is defeated within
-    ROUND_CAP played rounds, a lottery state's skipped rounds and its
-    deciding round counting as one.
+    change anything from then on; the oracle stalemates there too (q == 1).
+    Every other trial ends: a round after the first that is not a lottery
+    state has a side whose pool covers the health of some alive eligible
+    class (or whose kill chance rounds to 1), so it kills with chance at
+    least 1 / (eligible units), and each lottery step kills. A trial thus
+    takes O(units**2) expected loop passes.
     """
     counts1, counts2 = army1.counts, army2.counts
     policy = model.target_policy
@@ -373,7 +372,7 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     pools = army1._round_pools(army2, model)
     draw = rng.random
     rounds = 0
-    for _ in range(ROUND_CAP):
+    while True:
         rounds += 1
         first = rounds == 1
         key = (*counts1, *counts2, first)
@@ -407,4 +406,3 @@ def run_trial(army1: ArmyState, army2: ArmyState,
         if not alive1 or not alive2:
             winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)
-    raise StalemateError(f"both armies still standing after {ROUND_CAP} played rounds")

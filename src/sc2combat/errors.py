@@ -14,7 +14,7 @@ class ScenarioError(CombatError):
 
 
 class StalemateError(CombatError):
-    """Neither army can make progress; the round cap was reached."""
+    """Neither army can make progress: no round can kill a unit any more."""
 
 
 class EnumerationLimitError(CombatError):

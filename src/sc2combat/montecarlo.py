@@ -69,10 +69,10 @@ class AggregateResult:
 
     Stalemated trials count as draws and are additionally tallied in
     ``stalemate_count``. A trial stalemates when ``run_trial`` raises
-    StalemateError: no kill is possible in a round after the first, or the
-    round cap is hit with both armies standing. Survivor sums accumulate
-    per-class counts only over trials the army won, so ``mean_survivors*``
-    are win-conditioned means (None if that army never won).
+    StalemateError: no kill is possible in a round after the first. Survivor
+    sums accumulate per-class counts only over trials the army won, so
+    ``mean_survivors*`` are win-conditioned means (None if that army never
+    won).
     """
 
     spec: ExperimentSpec

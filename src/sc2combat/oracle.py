@@ -40,12 +40,13 @@ keyed by the state that made it, not by its value, since distinct states
 their d and the union of their index sets, each numerator times the factors
 it lacks, so no step takes the gcd of two large numbers, as a Fraction does
 on every operation. Each outcome is reduced once, to a Fraction equal to
-the one that step-by-step Fraction arithmetic gives.
+the one that step-by-step Fraction arithmetic gives. The outcome triples
+are added the same way into one total, which must equal 1 exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
@@ -59,8 +60,6 @@ from .units import UnitCatalog, UnitClass
 Outcome = tuple[Winner, tuple[int, ...], tuple[int, ...]]
 # An unreduced probability (n, d, u): n / (d * prod(factors[k] for k in u))
 _Mass = tuple[int, int, frozenset[int]]
-
-_SUM_TOLERANCE = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -81,12 +80,7 @@ class EnumerationLimits:
 class ExactDistribution:
     """Exact probability of every terminal (winner, survivors) outcome."""
 
-    outcomes: dict[Outcome, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        total = sum(self.outcomes.values(), Fraction(0))
-        if abs(total - 1) > _SUM_TOLERANCE:
-            raise AssertionError(f"outcome probabilities sum to {float(total)}, not 1")
+    outcomes: dict[Outcome, Fraction]
 
     def probability(self, outcome: Outcome) -> Fraction:
         return self.outcomes.get(outcome, Fraction(0))
@@ -236,6 +230,14 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
                     winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
                     _add_mass(result, (winner, n1, n2), num, d, u, factors)
 
+    # the outcomes must sum to exactly 1, checked on the unreduced triples
+    total = {None: (0, 1, frozenset())}
+    for n, d, u in result.values():
+        _add_mass(total, None, n, d, u, factors)
+    n, d, u = total[None]
+    whole = d * prod(factors[k] for k in u)
+    if n != whole:
+        raise AssertionError(f"outcome probabilities sum to {n / whole}, not 1")
     return ExactDistribution({outcome: Fraction(n, d * prod(factors[k] for k in u))
                               for outcome, (n, d, u) in result.items()})
 

@@ -59,13 +59,13 @@ def units(draw, index=0, force_dps=True):
 
 
 @st.composite
-def compositions(draw, max_units=3, classes=2):
+def compositions(draw, max_units=3, classes=2, force_dps=True):
     n_classes = draw(st.integers(1, classes))
     comp = []
     remaining = max_units
     for i in range(n_classes):
         count = draw(st.integers(1, max(1, remaining - (n_classes - 1 - i))))
-        comp.append((draw(units(index=i)), count))
+        comp.append((draw(units(index=i, force_dps=force_dps)), count))
         remaining -= count
     return comp
 

@@ -7,7 +7,6 @@ import pytest
 
 import sc2combat.engine as engine
 from sc2combat import (
-    ROUND_CAP,
     ArmyState,
     ModelId,
     StalemateError,
@@ -412,8 +411,13 @@ class TestRunTrial:
         # the state pair played the other way round keeps its own cache
         assert trials(b, a, ModelId.APX4, fresh=False) == trials(b, a, ModelId.APX4, fresh=True)
 
-    def test_round_cap_value(self):
-        assert ROUND_CAP == 10_000
+    def test_long_one_sided_battle_is_no_stalemate(self):
+        # army1 kills one harmless unit a round: a sure win, however many
+        # rounds it takes
+        a = army((make_unit("a", health=10, dps=1.0), 1))
+        b = army((make_unit("b", health=1, dps=0.0), 10_001))
+        outcome = run_trial(a, b, ModelId.APX1, random.Random(0))
+        assert outcome.winner is Winner.ARMY1 and outcome.rounds == 10_001
 
     def test_empty_army_rejected(self):
         a = army((make_unit("a"), 0))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import sc2combat.oracle as oracle
 from sc2combat import (
     EnumerationLimitError,
     EnumerationLimits,
@@ -84,6 +85,23 @@ def test_probabilities_sum_to_one():
         dist = enumerate_compositions([(a, 2), (b, 1)], [(a, 1), (b, 2)], model)
         assert sum(dist.outcomes.values()) == 1
         assert abs(sum(dist.as_floats().values()) - 1.0) < 1e-12
+
+
+def test_sum_checked_exactly(monkeypatch):
+    # one leaf weight of every spending distribution gains 1 / (den * 10**30),
+    # far below any float tolerance; the exact sum check still sees it
+    original = oracle._apply_distribution
+
+    def shifted(*args):
+        weights, denominator = original(*args)
+        weights = {left: w * 10**30 for left, w in weights.items()}
+        weights[next(iter(weights))] += 1
+        return weights, denominator * 10**30
+
+    monkeypatch.setattr(oracle, "_apply_distribution", shifted)
+    a = make_unit("a", health=7, dps=3.0)
+    with pytest.raises(AssertionError, match="sum to"):
+        enumerate_compositions([(a, 2)], [(a, 1)], ModelId.APX1)
 
 
 def test_unit_limit_enforced():
