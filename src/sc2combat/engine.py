@@ -21,9 +21,11 @@ The models are additive refinements:
 A round's two pools depend only on the alive counts of both armies and on
 whether it is the opening round, and the trials of one experiment replay
 many of the same rounds. So ``run_trial`` keeps the pools of each round it
-computes in a cache on army1's state, keyed by that exact battle state
-(the tuple ``(*counts1, *counts2, first_round)``; each side's number of
-classes is fixed) and valid for one defender and one model. An entry also
+computes in a cache on army1's state, one per model, keyed by that exact
+battle state (the tuple ``(*counts1, *counts2, first_round)``; each side's
+number of classes is fixed). A side is bound to one defender's classes at
+a time (``ArmyState.bonus_targets``); the binding holds its bonus rows and
+its caches, and another defender starts both afresh. An entry also
 holds the state's kill tables when it is a lottery state, a state where no
 pool can kill more than one unit and the trial skips the rounds that kill
 nothing (see ``run_trial``). The army states of a Monte Carlo block are
@@ -91,6 +93,9 @@ class Winner(enum.Enum):
     DRAW = "draw"
 
 
+Outcome = tuple[Winner, tuple[int, ...], tuple[int, ...]]  # (winner, survivors1, survivors2)
+
+
 class TrialOutcome(NamedTuple):
     """Result of one simulated battle."""
 
@@ -110,8 +115,7 @@ class ArmyState:
 
     __slots__ = ("classes", "counts", "initial_counts", "eff_health", "eff_dps",
                  "eff_bonus_dps", "ranged", "melee", "indices", "_dps_sums",
-                 "_bonus_against", "_bonus_table", "_bonus_rows",
-                 "_pools_against", "_pools_model", "_pools")
+                 "_against", "_bonus_rows", "_pools")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
         if any(count < 0 for _, count in composition):
@@ -126,24 +130,23 @@ class ArmyState:
         self.melee: tuple[int, ...] = tuple(i for i, r in enumerate(self.ranged) if not r)
         self.indices: tuple[int, ...] = tuple(range(len(self.classes)))
         self._dps_sums: dict[tuple[int, ...], float] = {}  # see compute_pool
-        self._bonus_against, self._bonus_table, self._bonus_rows = None, (), ()  # see bonus_targets
-        self._pools_against, self._pools_model, self._pools = None, None, {}  # see _round_pools
+        self._against, self._bonus_rows, self._pools = None, (), {}  # see bonus_targets
 
-    def bonus_targets(self, defender: "ArmyState") -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``(i, js)`` for each class ``i`` with bonus damage, ``js`` being the
+    def bonus_targets(self, defender: "ArmyState") -> tuple[tuple, ...]:
+        """The rows ``(i, js, bonus DPS of i, i is ranged)`` that ``bonus_pool``
+        reads, one for each class ``i`` with bonus damage, ``js`` being the
         defender classes it gets bonus damage against. Built once per
-        ``defender.classes`` object, so no attribute test runs per round, along
-        with the rows ``(i, js, bonus DPS of i, i is ranged)`` that
-        ``bonus_pool`` reads."""
-        if self._bonus_against is not defender.classes:
-            self._bonus_table = tuple(
+        ``defender.classes`` object, so no attribute test runs per round. A
+        new ``defender.classes`` also starts new round-pool caches (see
+        ``_round_pools``): this one binding ties both to the opponent."""
+        if self._against is not defender.classes:
+            self._against, self._pools = defender.classes, {}
+            self._bonus_rows = tuple(
                 (i, tuple(j for j, target in enumerate(defender.classes)
-                          if not unit.bonus_vs.isdisjoint(target.attributes)))
+                          if not unit.bonus_vs.isdisjoint(target.attributes)),
+                 self.eff_bonus_dps[i], self.ranged[i])
                 for i, unit in enumerate(self.classes) if self.eff_bonus_dps[i] != 0.0)
-            self._bonus_rows = tuple((i, js, self.eff_bonus_dps[i], self.ranged[i])
-                                     for i, js in self._bonus_table)
-            self._bonus_against = defender.classes
-        return self._bonus_table
+        return self._bonus_rows
 
     def eligible(self, policy: TargetPolicy,
                  counts: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -159,11 +162,12 @@ class ArmyState:
 
     def _round_pools(self, defender: "ArmyState", model: ModelId) -> dict:
         """The round-pool cache of this side against ``defender`` under
-        ``model`` (see the module docstring); another defender or model
-        starts a new one."""
-        if self._pools_against is not defender.classes or self._pools_model is not model:
-            self._pools_against, self._pools_model, self._pools = defender.classes, model, {}
-        return self._pools
+        ``model`` (see the module docstring), one per model while this side
+        stays bound to ``defender.classes`` (``bonus_targets``). Keyed by the
+        model's number: hashing an enum member runs Python code."""
+        if self._against is not defender.classes:
+            self.bonus_targets(defender)
+        return self._pools.setdefault(model._value_, {})
 
     def total_units(self) -> int:
         return sum(self.counts)
@@ -182,7 +186,7 @@ def bonus_pool(attacker: ArmyState, defender: ArmyState, ranged_only: bool) -> f
 
     The fraction is recomputed from current alive counts every round.
     """
-    if attacker._bonus_against is not defender.classes:
+    if attacker._against is not defender.classes:
         attacker.bonus_targets(defender)
     acounts, dcounts = attacker.counts, defender.counts
     defenders = sum(dcounts)

@@ -23,12 +23,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import ArmyState, ModelId, Winner, run_trial
+from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
-from .scenarios import MatchupSpec, resolve_matchup
+from .scenarios import SEED_LIMIT, MatchupSpec, resolve_matchup
 from .units import UnitCatalog, UnitClass
 
-SEED_LIMIT = 1 << 64  # master seeds lie in [0, SEED_LIMIT)
 _SEED_MASK = SEED_LIMIT - 1
 
 # Consecutive trials that draw from one random stream. Seeding a generator
@@ -122,11 +121,10 @@ class AggregateResult:
 
 
 Resolved = Sequence[tuple[UnitClass, int]]  # an army as (unit class, count) pairs
-Outcome = Optional[tuple[Winner, tuple[int, ...], tuple[int, ...]]]  # None: a stalemate
 
 
-def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId,
-                    master_seed: int, start: int, stop: int) -> Counter[Outcome]:
+def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_seed: int,
+                    start: int, stop: int) -> Counter[Optional[Outcome]]:
     """How often each ``(winner, survivors1, survivors2)`` outcome ends the
     trials ``start:stop``, with None counting stalemates. ``start`` must be
     on a chunk boundary; each chunk's stream serves its trials in order.
@@ -135,7 +133,7 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId,
     if start % CHUNK:
         raise ValueError(f"a block must start on a {CHUNK}-trial chunk boundary, got {start}")
     army1, army2 = ArmyState(comp1), ArmyState(comp2)
-    counts: Counter[Outcome] = Counter()
+    counts: Counter[Optional[Outcome]] = Counter()
     for index in range(start, stop):
         if not index % CHUNK:
             rng = trial_rng(master_seed, index // CHUNK)
@@ -150,7 +148,7 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId,
     return counts
 
 
-def _aggregate(spec: ExperimentSpec, counts: Counter[Outcome],
+def _aggregate(spec: ExperimentSpec, counts: Counter[Optional[Outcome]],
                classes1: int, classes2: int) -> AggregateResult:
     wins: Counter[Winner] = Counter()
     survivors1, survivors2 = [0] * classes1, [0] * classes2
@@ -195,7 +193,7 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
         blocks += [(k, (comp1, comp2, spec.model, spec.master_seed,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]
-    totals: list[Counter[Outcome]] = [Counter() for _ in specs]
+    totals: list[Counter[Optional[Outcome]]] = [Counter() for _ in specs]
     workers = min(n_jobs, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         for k, args in blocks:

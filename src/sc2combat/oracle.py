@@ -11,16 +11,18 @@ target selection and probabilistic kill with exact rational arithmetic.
 Comparing the two, through the sampled outcomes of
 montecarlo.sample_outcomes, checks the engine's sampling.
 
-A battle state is (counts1, counts2, first_round). The enumeration
-propagates probability mass forward: it starts with mass 1 on the opening
-state and expands each reachable state exactly once, pushing its mass
-through one round's transitions to the successor states and adding the mass
-that reaches a terminal state (one or both armies dead) to the result. Every
-transition lowers the total unit count, except the move from the opening
-round to the same counts in a later round, and that successor only enters
-the queue once the opening state is expanded. So states are expanded in
-order of falling unit total, and each state's mass is then complete when it
-is expanded.
+A battle state is the pair (counts1, counts2). The enumeration propagates
+probability mass forward: it starts with mass 1 on the opening state and
+expands each reachable state once, pushing its mass through one round's
+transitions to the successor states and adding the mass that reaches a
+terminal state (one or both armies dead) to the result. Pending states wait
+in one table per unit total, and the tables are emptied from the highest
+total down. Every transition lowers the total unit count, except the move
+from the opening round to the same counts in a later round: that successor
+joins the opening state's table after the opening state has left it, and
+is expanded once more as a later round. So each state's mass is complete
+when it is expanded. The opening state is the first state expanded, and
+the only one whose round is a first round.
 
 Rounds that change nothing on either side (possible when both pools are too
 small to guarantee a kill) map a state to itself with some probability q.
@@ -48,16 +50,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd, lcm, prod
 
-from .engine import ArmyState, ModelId, TargetPolicy, Winner, compute_pool
+from .engine import ArmyState, ModelId, Outcome, TargetPolicy, Winner, compute_pool
 from .errors import EnumerationLimitError, StalemateError
 from .scenarios import MatchupSpec, resolve_matchup
 from .units import UnitCatalog, UnitClass
 
-# (winner, survivors1, survivors2)
-Outcome = tuple[Winner, tuple[int, ...], tuple[int, ...]]
 # An unreduced probability (n, d, u): n / (d * prod(factors[k] for k in u))
 _Mass = tuple[int, int, frozenset[int]]
 
@@ -67,9 +66,10 @@ class EnumerationLimits:
     """Guard rails for the state-space expansion.
 
     ``max_units_per_side`` caps each army's starting unit count.
-    EnumerationLimitError is raised when more than ``max_states`` distinct
-    non-terminal states (counts1, counts2, first_round) would be expanded,
-    so a battle with N reachable states passes at ``max_states=N``.
+    EnumerationLimitError is raised when more than ``max_states``
+    non-terminal states (counts1, counts2) would be expanded, the opening
+    counts counting twice when the opening round kills nothing, so a
+    battle with N expansions passes at ``max_states=N``.
     """
 
     max_units_per_side: int = 4
@@ -138,28 +138,26 @@ def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
 
 
 def _add_mass(masses: dict, key, n: int, d: int, u: frozenset[int],
-              factors: list[int]) -> bool:
-    """Add the mass ``(n, d, u)`` to ``masses[key]``; True if the key is new.
-    The sum goes over the lcm of the small denominators and the union of
-    the factor sets, each numerator times the factors it lacks."""
+              factors: list[int]) -> None:
+    """Add the mass ``(n, d, u)`` to ``masses[key]``: over the lcm of the
+    small denominators and the union of the factor sets, each numerator
+    times the factors it lacks."""
     old = masses.get(key)
-    if old is None:
-        masses[key] = (n, d, u)
-        return True
-    n0, d0, u0 = old
-    if d0 != d:
-        g = gcd(d0, d)
-        n0 *= d // g
-        n *= d0 // g
-        d *= d0 // g
-    if u0 != u:
-        for k in u - u0:
-            n0 *= factors[k]
-        for k in u0 - u:
-            n *= factors[k]
-        u = u0 | u
-    masses[key] = (n0 + n, d, u)
-    return False
+    if old is not None:
+        n0, d0, u0 = old
+        if d0 != d:
+            g = gcd(d0, d)
+            n0 *= d // g
+            n *= d0 // g
+            d *= d0 // g
+        if u0 != u:
+            for k in u - u0:
+                n0 *= factors[k]
+            for k in u0 - u:
+                n *= factors[k]
+            u = u0 | u
+        n += n0
+    masses[key] = (n, d, u)
 
 
 def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
@@ -178,57 +176,55 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
         raise ValueError("both armies must start with at least one unit")
 
     policy = model.target_policy
-    # Pop by falling unit total; each state's mass is then complete when it
-    # is expanded (see the module docstring).
-    start = (counts1, counts2, True)
+    # Pending states by unit total, expanded from the highest total down
+    # (see the module docstring).
+    top = sum(counts1) + sum(counts2)
+    pending: list[dict[tuple, _Mass]] = [{} for _ in range(top + 1)]
+    pending[top][counts1, counts2] = (1, 1, frozenset())
     factors: list[int] = []  # numerator of 1 - q at the k-th folded state
-    mass: dict[tuple, _Mass] = {start: (1, 1, frozenset())}
-    heap = [(-sum(counts1) - sum(counts2), start)]
     result: dict[Outcome, _Mass] = {}
     expanded = 0
-    while heap:
-        key = heappop(heap)[1]
-        c1, c2, first_round = key
-        expanded += 1
-        if expanded > limits.max_states:
-            raise EnumerationLimitError(f"more than {limits.max_states} battle states")
+    for bucket in reversed(pending):
+        while bucket:
+            (c1, c2), (n, d, u) = bucket.popitem()
+            first_round = expanded == 0
+            expanded += 1
+            if expanded > limits.max_states:
+                raise EnumerationLimitError(f"more than {limits.max_states} battle states")
 
-        army1.counts[:] = c1
-        army2.counts[:] = c2
-        pool1 = compute_pool(army1, army2, model, first_round)
-        pool2 = compute_pool(army2, army1, model, first_round)
-        dist2, den2 = _apply_distribution(pool1, army2, c2, policy)
-        dist1, den1 = _apply_distribution(pool2, army1, c1, policy)
-        joint = den1 * den2
-        self_weight = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
-        if self_weight == joint:
-            raise StalemateError("neither army can make progress from this state")
-        n, d, u = mass.pop(key)
-        if self_weight:  # divide by 1 - q = rest / joint = (rest / g) / (joint / g)
-            rest = joint - self_weight
-            g = gcd(rest, joint)
-            d *= g
-            if rest != g:
-                u = u | {len(factors)}
-                factors.append(rest // g)
-        else:
-            d *= joint
+            army1.counts[:] = c1
+            army2.counts[:] = c2
+            pool1 = compute_pool(army1, army2, model, first_round)
+            pool2 = compute_pool(army2, army1, model, first_round)
+            dist2, den2 = _apply_distribution(pool1, army2, c2, policy)
+            dist1, den1 = _apply_distribution(pool2, army1, c1, policy)
+            joint = den1 * den2
+            self_weight = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
+            if self_weight == joint:
+                raise StalemateError("neither army can make progress from this state")
+            if self_weight:  # divide by 1 - q = rest / joint = (rest / g) / (joint / g)
+                rest = joint - self_weight
+                g = gcd(rest, joint)
+                d *= g
+                if rest != g:
+                    u = u | {len(factors)}
+                    factors.append(rest // g)
+            else:
+                d *= joint
 
-        for n1, w1 in dist1.items():
-            num1 = n * w1
-            alive1 = any(n1)
-            for n2, w2 in dist2.items():
-                alive2 = any(n2)
-                num = num1 * w2
-                if alive1 and alive2:
-                    if n1 == c1 and n2 == c2 and not first_round:
-                        continue
-                    successor = (n1, n2, False)
-                    if _add_mass(mass, successor, num, d, u, factors):
-                        heappush(heap, (-sum(n1) - sum(n2), successor))
-                else:
-                    winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
-                    _add_mass(result, (winner, n1, n2), num, d, u, factors)
+            for n1, w1 in dist1.items():
+                num1 = n * w1
+                alive1 = any(n1)
+                for n2, w2 in dist2.items():
+                    alive2 = any(n2)
+                    num = num1 * w2
+                    if alive1 and alive2:
+                        if n1 == c1 and n2 == c2 and not first_round:
+                            continue
+                        _add_mass(pending[sum(n1) + sum(n2)], (n1, n2), num, d, u, factors)
+                    else:
+                        winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
+                        _add_mass(result, (winner, n1, n2), num, d, u, factors)
 
     # the outcomes must sum to exactly 1, checked on the unreduced triples
     total = {None: (0, 1, frozenset())}

@@ -11,12 +11,10 @@ are diffable, and are validated against count and sum invariants at load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Union
 
 from .engine import ArmyState, ModelId
 from .errors import ScenarioError
-from .units import Race, UnitCatalog, UnitClass, bundled_yaml, read_yaml
+from .units import CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, read_yaml
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
@@ -25,7 +23,7 @@ ROW_TYPES = ("Test", "APX1", "APX2", "APX3", "APX4")
 _RACE_BY_LETTER = {"P": Race.PROTOSS, "T": Race.TERRAN, "Z": Race.ZERG}
 
 Composition = tuple[tuple[str, int], ...]
-ScenarioSource = Union[str, Path, IO[str]]
+SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def find_reference_row(round: int, type: str, match: str) -> ReferenceRow:
     raise ScenarioError(f"no reference row for round {round} {type} {match}")
 
 
-def load_scenario(source: ScenarioSource, catalog: UnitCatalog) -> Scenario:
+def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
     """Parse a user scenario document and resolve it against the catalog.
 
     The document holds ``army1`` and ``army2`` mappings of unit name to
@@ -240,7 +238,7 @@ def load_scenario(source: ScenarioSource, catalog: UnitCatalog) -> Scenario:
     seed = None
     if "seed" in doc:
         if (not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool)
-                or not 0 <= doc["seed"] < 1 << 64):
+                or not 0 <= doc["seed"] < SEED_LIMIT):
             raise ScenarioError("seed must be an integer in [0, 2**64)")
         seed = doc["seed"]
     return Scenario(matchup=matchup, model=model, trials=trials, seed=seed)

@@ -27,7 +27,7 @@ ARMOR_HEALTH_FACTOR = 1.5
 
 DEFAULT_CATALOG_ENV = "SC2COMBAT_CATALOG"
 
-CatalogSource = Union[str, Path, IO[str]]
+CatalogSource = Union[str, Path, IO[str]]  # a YAML catalog or scenario: path or text stream
 
 # libyaml's C parser when PyYAML was built with it, else the pure-Python one;
 # both build the same documents, and the C one parses the bundled files ~7x faster.

@@ -117,7 +117,7 @@ def test_criterion_1_catches_unscaled_bonus_pools(monkeypatch):
 
     def unscaled(attacker, defender, ranged_only):
         total = 0.0
-        for i, targets in attacker.bonus_targets(defender):
+        for i, targets, _, _ in attacker.bonus_targets(defender):
             count = attacker.counts[i]
             if (count and (attacker.ranged[i] or not ranged_only)
                     and any(defender.counts[j] for j in targets)):

@@ -411,6 +411,24 @@ class TestRunTrial:
         # the state pair played the other way round keeps its own cache
         assert trials(b, a, ModelId.APX4, fresh=False) == trials(b, a, ModelId.APX4, fresh=True)
 
+    def test_new_defender_starts_new_round_pools(self, catalog):
+        # b and c have the same class counts, so their battle states share
+        # cache keys; pools kept from the battles against b are wrong against c
+        a = army((catalog["zealot"], 4), (catalog["stalker"], 3))
+        b = army((catalog["marine"], 6), (catalog["marauder"], 2))
+        c = army((catalog["zergling"], 6), (catalog["roach"], 2))
+
+        def trials(attacker, defender):
+            outcomes = []
+            for index in range(40):
+                attacker.counts[:] = attacker.initial_counts
+                defender.counts[:] = defender.initial_counts
+                outcomes.append(run_trial(attacker, defender, ModelId.APX4, trial_rng(4, index)))
+            return outcomes
+
+        trials(a, b)
+        assert trials(a, c) == trials(army(*zip(a.classes, a.initial_counts)), c)
+
     def test_long_one_sided_battle_is_no_stalemate(self):
         # army1 kills one harmless unit a round: a sure win, however many
         # rounds it takes
@@ -466,11 +484,12 @@ class TestArmyState:
                         (make_unit("p"), 1))
         defender = army((make_unit("heavy", attrs=("armored",)), 1),
                         (make_unit("lite", attrs=("light",)), 1))
+        bonus = attacker.eff_bonus_dps[0]
         table = attacker.bonus_targets(defender)
-        assert table == ((0, (1,)),)
+        assert table == ((0, (1,), bonus, False),)
         assert attacker.bonus_targets(defender) is table
         other = army((make_unit("lite", attrs=("light",)), 1))
-        assert attacker.bonus_targets(other) == ((0, (0,)),)
+        assert attacker.bonus_targets(other) == ((0, (0,), bonus, False),)
 
     def test_bonus_rows_follow_the_defenders_classes(self):
         attacker = army((make_unit("a", bonus=2.0, bonus_vs=("light",)), 1))

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -142,14 +143,42 @@ def test_melee_only_apx2_first_round_kills_nothing():
     assert dist.outcomes == enumerate_compositions([(a, 2)], [(b, 2)], ModelId.APX1).outcomes
 
 
-def test_max_states_counts_expanded_states():
+RANGED, MELEE = make_unit("r", health=9, dps=4.0, ranged=True), make_unit("m", health=14, dps=6.0)
+SHOOTER, BRUTE = make_unit("w", health=12, dps=5.0, ranged=True), make_unit("x", health=10, dps=3.0)
+TWIN = make_unit("u", health=10, dps=5.0, ranged=True)
+
+
+@pytest.mark.parametrize("army1, army2, model, states, digest", [
     # A 15-point pool kills one unit for sure and a second with chance 1/2,
     # so 3v3 reaches the opening state, then 2v2, 2v1, 1v2 and 1v1: 5 states.
-    u = make_unit("u", health=10, dps=5.0, ranged=True)
-    enumerate_compositions([(u, 3)], [(u, 3)], ModelId.APX1, EnumerationLimits(max_states=5))
+    pytest.param([(TWIN, 3)], [(TWIN, 3)], ModelId.APX1, 5,
+                 "241ef45268ad8a335e744882b33cd8c1de438ddb41b4dd4be19aa6171f416612",
+                 id="mirror"),
+    pytest.param([(RANGED, 2), (MELEE, 1)], [(SHOOTER, 1), (BRUTE, 2)], ModelId.APX2, 26,
+                 "25ac9aeff7e167e1367316cb247ec7546163ec0756bee922419412baa1b8a9f0",
+                 id="apx2-ranged-opening"),
+    # the opening kills nothing, so the opening counts are expanded twice
+    pytest.param([(make_unit("a", health=10, dps=6.0), 2)],
+                 [(make_unit("b", health=12, dps=5.0), 2)], ModelId.APX2, 3,
+                 "04a78c80094c3996160a910fd34bfe108317c63b77385d1215b1388e9268b9fc",
+                 id="apx2-melee-opening"),
+    pytest.param([("zealot", 2), ("stalker", 2)], [("marine", 2), ("marauder", 2)],
+                 ModelId.APX3, 65,
+                 "3fbb4b5e226a7ac229e2e9a958c522600238f126c92485d2272594262a223320",
+                 id="mixed-4v4"),
+])
+def test_max_states_counts_expanded_states(catalog, army1, army2, model, states, digest):
+    # N states pass at max_states=N and fail at N - 1. Neither the count nor
+    # the exact outcomes depend on the order in which the states of one unit
+    # total are expanded.
+    comp1, comp2 = ([(catalog[u] if isinstance(u, str) else u, n) for u, n in army]
+                    for army in (army1, army2))
+    dist = enumerate_compositions(comp1, comp2, model, EnumerationLimits(max_states=states))
+    exact = sorted((repr(outcome), hex(p.numerator), hex(p.denominator))
+                   for outcome, p in dist.outcomes.items())
+    assert hashlib.sha256(repr(exact).encode()).hexdigest() == digest
     with pytest.raises(EnumerationLimitError):
-        enumerate_compositions([(u, 3)], [(u, 3)], ModelId.APX1,
-                               EnumerationLimits(max_states=4))
+        enumerate_compositions(comp1, comp2, model, EnumerationLimits(max_states=states - 1))
 
 
 def test_empty_army_rejected():
