@@ -22,19 +22,19 @@ A round's two pools depend only on the alive counts of both armies and on
 whether it is the opening round, and the trials of one experiment replay
 many of the same rounds. So ``run_trial`` keeps the pools of each round it
 computes in a cache on army1's state, one per model, keyed by that exact
-battle state (the tuple ``(*counts1, *counts2, first_round)``; each side's
-number of classes is fixed). A side is bound to one defender's classes at
-a time (``ArmyState.bonus_targets``); the binding holds its bonus rows and
-its caches, and another defender starts both afresh. An entry also
-holds the state's kill tables when it is a lottery state, a state where no
-pool can kill more than one unit and the trial skips the rounds that kill
-nothing (see ``run_trial``). The army states of a Monte Carlo block are
-built once and serve all its trials, so the block's trials share the
-cache. A hit returns the very floats a miss computes for that state, and a
-full cache (``_POOL_CACHE_ENTRIES``) keeps its entries and computes other
-rounds afresh, so results are bit-identical with or without it: every
-float operation and every random draw happens in the same order either
-way.
+battle state: the tuple ``(*counts1, *counts2, first)``, ``first`` being
+True in the opening round (each side's number of classes is fixed). A side
+is bound to one defender's classes at a time (``ArmyState.bonus_targets``);
+the binding holds its bonus rows and its caches, and another defender
+starts both afresh. An entry also holds the state's kill tables when it
+is a lottery state, a state where no pool can kill more than one unit and
+the trial skips the rounds that kill nothing (see ``run_trial``). The army
+states of a Monte Carlo block are built once and serve all its trials, so
+the block's trials share the cache. A hit returns the very floats a miss
+computes for that state, and a full cache (``_POOL_CACHE_ENTRIES``) keeps
+its entries and computes other rounds afresh, so results are bit-identical
+with or without it: every float operation and every random draw happens in
+the same order either way.
 
 A miss is cheaper where one side's counts repeat, as they do when a round
 kills only on the other side: each ``ArmyState`` keeps a side memo of its
@@ -53,7 +53,7 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import StalemateError
-from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health
+from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health, is_integer
 
 # Entries one round-pool cache holds; a full cache stops growing. Bounds the
 # memory of a block whose trials spread over many battle states.
@@ -72,6 +72,7 @@ class ModelId(enum.Enum):
     APX2 = 2
     APX3 = 3
     APX4 = 4
+    __hash__ = object.__hash__  # members are singletons: Enum.__hash__ runs Python code
 
     def __init__(self, value: int) -> None:
         self.ranged_first_round = value >= 2  # only ranged units feed round one's pool
@@ -91,6 +92,7 @@ class Winner(enum.Enum):
     ARMY1 = "army1"
     ARMY2 = "army2"
     DRAW = "draw"
+    __hash__ = object.__hash__  # members are singletons: Enum.__hash__ runs Python code
 
 
 Outcome = tuple[Winner, tuple[int, ...], tuple[int, ...]]  # (winner, survivors1, survivors2)
@@ -118,8 +120,8 @@ class ArmyState:
                  "_against", "_bonus_rows", "_pools")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
-        if any(count < 0 for _, count in composition):
-            raise ValueError("unit counts must be non-negative")
+        if any(not is_integer(count) or count < 0 for _, count in composition):
+            raise ValueError("unit counts must be non-negative integers")
         self.classes: tuple[UnitClass, ...] = tuple(unit for unit, _ in composition)
         self.initial_counts: tuple[int, ...] = tuple(count for _, count in composition)
         self.counts: list[int] = list(self.initial_counts)
@@ -163,11 +165,9 @@ class ArmyState:
     def _round_pools(self, defender: "ArmyState", model: ModelId) -> dict:
         """The round-pool cache of this side against ``defender`` under
         ``model`` (see the module docstring), one per model while this side
-        stays bound to ``defender.classes`` (``bonus_targets``). Keyed by the
-        model's number: hashing an enum member runs Python code."""
-        if self._against is not defender.classes:
-            self.bonus_targets(defender)
-        return self._pools.setdefault(model._value_, {})
+        stays bound to ``defender.classes``: ``bonus_targets`` binds it."""
+        self.bonus_targets(defender)
+        return self._pools.setdefault(model, {})
 
     def total_units(self) -> int:
         return sum(self.counts)
@@ -186,14 +186,12 @@ def bonus_pool(attacker: ArmyState, defender: ArmyState, ranged_only: bool) -> f
 
     The fraction is recomputed from current alive counts every round.
     """
-    if attacker._against is not defender.classes:
-        attacker.bonus_targets(defender)
     acounts, dcounts = attacker.counts, defender.counts
     defenders = sum(dcounts)
     if defenders == 0:
         return 0.0
     total = 0.0
-    for i, targets, dps, ranged in attacker._bonus_rows:
+    for i, targets, dps, ranged in attacker.bonus_targets(defender):
         count = acounts[i]
         if count == 0 or (ranged_only and not ranged):
             continue
@@ -237,14 +235,15 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
 
 
 def _spend(pool: float, defender: ArmyState, policy: TargetPolicy,
-           group: tuple[int, ...], left: int, alive: int,
-           random: Callable[[], float]) -> tuple[float, tuple[int, ...], int, int]:
-    """Spend ``pool`` on ``defender``, which has ``alive`` units, ``left`` of
-    them in the eligible classes ``group``; returns the damage left over and
-    the new ``(group, left, alive)``. The spending rule of ``apply_pool`` and
-    ``run_trial``."""
+           group: tuple[int, ...], left: int,
+           random: Callable[[], float]) -> tuple[float, tuple[int, ...], int]:
+    """Spend ``pool`` on ``defender``, ``left`` of whose units are in the
+    eligible classes ``group``; returns the damage left over and the new
+    ``(group, left)``. The spending rule of ``apply_pool`` and ``run_trial``.
+    A ``left`` of 0 is refreshed (``ArmyState.eligible``), so it stays 0
+    only when no unit is alive."""
     counts, health = defender.counts, defender.eff_health
-    while pool > 0 and alive:
+    while pool > 0 and left:
         pick = random() * left
         for i in group:
             pick -= counts[i]
@@ -255,16 +254,15 @@ def _spend(pool: float, defender: ArmyState, policy: TargetPolicy,
         h = health[i]
         if pool < h:
             if random() >= pool / h:
-                return 0.0, group, left, alive
+                return 0.0, group, left
             pool = 0.0
         else:
             pool -= h
         counts[i] -= 1
-        alive -= 1
         left -= 1
-        if not left and alive:
+        if not left:
             group, left = defender.eligible(policy, counts)
-    return (pool if pool > 0.0 else 0.0), group, left, alive
+    return (pool if pool > 0.0 else 0.0), group, left
 
 
 def apply_pool(pool: float, defender: ArmyState,
@@ -278,7 +276,7 @@ def apply_pool(pool: float, defender: ArmyState,
     out is discarded.
     """
     group, left = defender.eligible(policy, defender.counts)
-    return _spend(pool, defender, policy, group, left, defender.total_units(), rng.random)[0]
+    return _spend(pool, defender, policy, group, left, rng.random)[0]
 
 
 def _kill_odds(pool: float, defender: ArmyState, group: tuple[int, ...],
@@ -321,10 +319,10 @@ def _round_entry(army1: ArmyState, army2: ArmyState, model: ModelId, first: bool
 
 
 def _lottery_kill(table: tuple[tuple[float, int], ...], pick: float, defender: ArmyState,
-                  policy: TargetPolicy, group: tuple[int, ...], left: int,
-                  alive: int) -> tuple[tuple[int, ...], int, int]:
+                  policy: TargetPolicy, group: tuple[int, ...],
+                  left: int) -> tuple[tuple[int, ...], int]:
     """Kill the unit of the first class whose cumulative odds in ``table``
-    exceed ``pick``; returns the new ``(group, left, alive)``."""
+    exceed ``pick``; returns the new ``(group, left)``, refreshed as in ``_spend``."""
     for odds, i in table:
         if pick < odds:
             break
@@ -332,9 +330,9 @@ def _lottery_kill(table: tuple[tuple[float, int], ...], pick: float, defender: A
     counts = defender.counts
     counts[i] -= 1
     left -= 1
-    if not left and alive > 1:
+    if not left:
         group, left = defender.eligible(policy, counts)
-    return group, left, alive - 1
+    return group, left
 
 
 def run_trial(army1: ArmyState, army2: ArmyState,
@@ -344,7 +342,7 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     Each round computes both pools from the start-of-round state, army1's
     pool is spent on army2 and army2's on army1 (``_spend``), so both may
     end the round defeated. Pools come from army1's round-pool cache (see
-    the module docstring), and alive counts are tracked as units die.
+    the module docstring); a side is wiped out when its eligible count is 0.
 
     A lottery state is one after round 1 where each side's pool is below
     the health of every alive eligible target: each round there is one pick
@@ -370,8 +368,7 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     policy = model.target_policy
     group1, left1 = army1.eligible(policy, counts1)
     group2, left2 = army2.eligible(policy, counts2)
-    alive1, alive2 = sum(counts1), sum(counts2)
-    if not alive1 or not alive2:
+    if not left1 or not left2:
         raise ValueError("both armies must start with at least one unit")
     pools = army1._round_pools(army2, model)
     draw = rng.random
@@ -394,19 +391,17 @@ def run_trial(army1: ArmyState, army2: ArmyState,
             # largest float; it then stays there
             rounds += int(min(math.log(1.0 - draw()) / log_q, sys.float_info.max))
             if draw() < share1:
-                group2, left2, alive2 = _lottery_kill(table1, draw() * kill1, army2, policy,
-                                                      group2, left2, alive2)
+                group2, left2 = _lottery_kill(table1, draw() * kill1, army2, policy, group2, left2)
                 side2 = draw() < kill2
             else:
                 side2 = True
             if side2:
-                group1, left1, alive1 = _lottery_kill(table2, draw() * kill2, army1, policy,
-                                                      group1, left1, alive1)
+                group1, left1 = _lottery_kill(table2, draw() * kill2, army1, policy, group1, left1)
         else:
             if pool1 > 0.0:
-                _, group2, left2, alive2 = _spend(pool1, army2, policy, group2, left2, alive2, draw)
+                _, group2, left2 = _spend(pool1, army2, policy, group2, left2, draw)
             if pool2 > 0.0:
-                _, group1, left1, alive1 = _spend(pool2, army1, policy, group1, left1, alive1, draw)
-        if not alive1 or not alive2:
-            winner = Winner.ARMY1 if alive1 else Winner.ARMY2 if alive2 else Winner.DRAW
+                _, group1, left1 = _spend(pool2, army1, policy, group1, left1, draw)
+        if not left1 or not left2:
+            winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
 from .scenarios import SEED_LIMIT, MatchupSpec, resolve_matchup
-from .units import UnitCatalog, UnitClass
+from .units import UnitCatalog, UnitClass, is_integer
 
 _SEED_MASK = SEED_LIMIT - 1
 
@@ -56,10 +56,10 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= self.master_seed < SEED_LIMIT:
-            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if not is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
+        if not is_integer(self.master_seed) or not 0 <= self.master_seed < SEED_LIMIT:
+            raise ValueError(f"master_seed must be an int in [0, 2**64), got {self.master_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,9 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_see
     return counts
 
 
-def _aggregate(spec: ExperimentSpec, counts: Counter[Optional[Outcome]],
-               classes1: int, classes2: int) -> AggregateResult:
+def _aggregate(spec: ExperimentSpec, counts: Counter[Optional[Outcome]]) -> AggregateResult:
     wins: Counter[Winner] = Counter()
-    survivors1, survivors2 = [0] * classes1, [0] * classes2
+    survivors1, survivors2 = [0] * len(spec.matchup.army1), [0] * len(spec.matchup.army2)
     for outcome, n in counts.items():
         if outcome is None:
             continue
@@ -183,11 +182,11 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     with no pool. A spec's result is the sum of its blocks' outcome counts,
     so it is identical to a serial run for any ``n_jobs``.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    resolved = [resolve_matchup(spec.matchup, catalog) for spec in specs]
+    if not is_integer(n_jobs) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be an int >= 1, got {n_jobs!r}")
     blocks = []  # (spec index, arguments of _count_outcomes)
-    for k, (spec, (comp1, comp2)) in enumerate(zip(specs, resolved)):
+    for k, spec in enumerate(specs):
+        comp1, comp2 = resolve_matchup(spec.matchup, catalog)
         chunks = -(-spec.trials // CHUNK)
         size = -(-chunks // n_jobs) * CHUNK
         blocks += [(k, (comp1, comp2, spec.model, spec.master_seed,
@@ -205,8 +204,7 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
             futures = [(k, pool.submit(_count_outcomes, *args)) for k, args in blocks]
             for k, future in futures:
                 totals[k].update(future.result())
-    return [_aggregate(spec, total, len(comp1), len(comp2))
-            for spec, total, (comp1, comp2) in zip(specs, totals, resolved)]
+    return [_aggregate(spec, total) for spec, total in zip(specs, totals)]
 
 
 def run_experiment(spec: ExperimentSpec, catalog: UnitCatalog,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .engine import ArmyState, ModelId
 from .errors import ScenarioError
-from .units import CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, read_yaml
+from .units import CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, is_integer, read_yaml
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
@@ -41,6 +41,8 @@ class MatchupSpec:
             if not army:
                 raise ScenarioError(f"{side} must contain at least one unit entry")
             for unit_name, count in army:
+                if not is_integer(count):
+                    raise ScenarioError(f"{side}: count for {unit_name!r} must be an integer")
                 if count < 1:
                     raise ScenarioError(f"{side}: count for {unit_name!r} must be >= 1")
         if self.pairing is not None and self.pairing not in PAIRINGS:
@@ -128,12 +130,7 @@ def build_armies(matchup: MatchupSpec, catalog: UnitCatalog) -> tuple[ArmyState,
 def _parse_army(doc: object, context: str) -> Composition:
     if not isinstance(doc, dict) or not doc:
         raise ScenarioError(f"{context} must be a non-empty mapping of unit name -> count")
-    army = []
-    for name, count in doc.items():
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise ScenarioError(f"{context}: count for {name!r} must be an integer")
-        army.append((str(name), count))
-    return tuple(army)
+    return tuple((str(name), count) for name, count in doc.items())
 
 
 def builtin_matchups() -> list[MatchupSpec]:
@@ -231,14 +228,12 @@ def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
             raise ScenarioError(str(exc)) from None
     trials = None
     if "trials" in doc:
-        if (not isinstance(doc["trials"], int) or isinstance(doc["trials"], bool)
-                or doc["trials"] < 1):
+        if not is_integer(doc["trials"]) or doc["trials"] < 1:
             raise ScenarioError("trials must be a positive integer")
         trials = doc["trials"]
     seed = None
     if "seed" in doc:
-        if (not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool)
-                or not 0 <= doc["seed"] < SEED_LIMIT):
+        if not is_integer(doc["seed"]) or not 0 <= doc["seed"] < SEED_LIMIT:
             raise ScenarioError("seed must be an integer in [0, 2**64)")
         seed = doc["seed"]
     return Scenario(matchup=matchup, model=model, trials=trials, seed=seed)

@@ -139,9 +139,14 @@ def _tags(values: list) -> frozenset[str]:
     return frozenset(str(value).lower() for value in values)
 
 
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value: object) -> int:
     """A YAML integer, taken as it is: a float, bool or string is an error."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 

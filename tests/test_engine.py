@@ -267,6 +267,62 @@ class TestOneRoundBattles:
         assert shooters.counts == [2]
 
 
+class TestEligibleCount:
+    """After ``_spend`` and ``_lottery_kill``, ``(group, left)`` is what
+    ``ArmyState.eligible`` gives for the defender's counts, so ``left`` is 0
+    exactly when the defender has no unit alive: the one fact ``run_trial``
+    reads to end a battle and name its winner."""
+
+    CLASSES = (make_unit("m1", health=10), make_unit("r", health=15, ranged=True),
+               make_unit("m2", health=20))
+
+    def wipe_out(self, policy, spend):
+        """Spend on a defender of every start of up to 2 units a class until
+        it is wiped out, checking ``(group, left)`` after each call; returns
+        how often melee-first targeting moved on to the ranged class."""
+        switches = 0
+        for counts in product(range(3), repeat=len(self.CLASSES)):
+            defender, rng = army(*zip(self.CLASSES, counts)), random.Random(sum(counts))
+            group, left = defender.eligible(policy, defender.counts)
+            while left:
+                before = group
+                group, left = spend(defender, group, left, rng)
+                assert (group, left) == defender.eligible(policy, defender.counts)
+                assert (left == 0) == (sum(defender.counts) == 0)
+                switches += before == defender.melee != group and left > 0
+        return switches
+
+    @pytest.mark.parametrize("policy", list(TargetPolicy))
+    @pytest.mark.parametrize("pool", [4.0, 12.0, 27.0, 100.0])
+    def test_spend(self, policy, pool):
+        def spend(defender, group, left, rng):
+            return engine._spend(pool, defender, policy, group, left, rng.random)[1:]
+
+        switches = self.wipe_out(policy, spend)
+        # a pool of 100 kills every army here in one call
+        assert bool(switches) == (policy is TargetPolicy.MELEE_FIRST and pool < 100)
+
+    @pytest.mark.parametrize("policy", list(TargetPolicy))
+    def test_lottery_kill(self, policy):
+        def spend(defender, group, left, rng):
+            kill, table = engine._kill_odds(4.0, defender, group, left)
+            return engine._lottery_kill(table, rng.random() * kill, defender, policy, group, left)
+
+        assert bool(self.wipe_out(policy, spend)) == (policy is TargetPolicy.MELEE_FIRST)
+
+    @pytest.mark.parametrize("model, rounds", [(ModelId.APX1, 1), (ModelId.APX4, 2)])
+    def test_mutual_wipe_out_is_a_draw(self, model, rounds):
+        # APX1: each side's pool of 20 kills both enemy units in round 1.
+        # APX4: the ranged units' pools of 10 kill the melee units first, and
+        # round 2 the ranged ones.
+        units = (make_unit("m", health=10, dps=10.0),
+                 make_unit("r", health=10, dps=10.0, ranged=True))
+        for seed in range(20):
+            a, b = army(*zip(units, (1, 1))), army(*zip(units, (1, 1)))
+            outcome = run_trial(a, b, model, random.Random(seed))
+            assert outcome == TrialOutcome(Winner.DRAW, (0, 0), (0, 0), rounds)
+
+
 class TestLotteryRounds:
     """States after round 1 where no pool reaches the health of any eligible
     target: the trial skips their idle rounds by the geometric law."""
@@ -468,6 +524,11 @@ class TestArmyState:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             ArmyState([(make_unit("a"), -1)])
+
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="integers"):
+            ArmyState([(make_unit("a"), 2), (make_unit("b"), count)])
 
     @pytest.mark.parametrize("policy, counts, expected", [
         (TargetPolicy.MELEE_FIRST, [2, 3, 1], ((0, 2), 3)),

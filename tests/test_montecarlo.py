@@ -246,6 +246,22 @@ class InlinePool:
         return future
 
 
+class TestSettingsValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True), ("trials", 2.5), ("master_seed", False), ("master_seed", 1.5),
+    ])
+    def test_non_integer_spec_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]), model=ModelId.APX1,
+                           **{field: value})
+
+    @pytest.mark.parametrize("n_jobs", [True, 1.5])
+    def test_non_integer_n_jobs_rejected(self, n_jobs):
+        spec = ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]), model=ModelId.APX1)
+        with pytest.raises(ValueError, match="n_jobs must be an int"):
+            run_experiments([spec], tiny_catalog(), n_jobs=n_jobs)
+
+
 class TestWorkerPool:
     @pytest.fixture
     def started(self, monkeypatch):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -49,6 +51,28 @@ class TestMaeByModel:
     def test_apx3_beats_apx4(self):
         summary = mae_by_model(reference_table())
         assert summary.errors[ModelId.APX3] < summary.errors[ModelId.APX4]
+
+    @staticmethod
+    def sign_flip_p(model_a, model_b):
+        """Exact two-sided p-value of the paired sign-flip test over the 12
+        matchups: the share of the 4096 sign patterns of the per-matchup
+        differences |a - Test| - |b - Test| whose sum is at least as far from
+        0 as the observed one. Win rates are taken in whole percentage
+        points, so that no float rounding breaks a tie."""
+        win1 = {(r.round, r.match, r.type): round(r.win1 * 100) for r in reference_table()}
+        matches = sorted({(rnd, match) for rnd, match, _ in win1})
+        diffs = [abs(win1[m + (model_a,)] - win1[m + ("Test",)])
+                 - abs(win1[m + (model_b,)] - win1[m + ("Test",)]) for m in matches]
+        observed = abs(sum(diffs))
+        hits = sum(abs(sum(s * d for s, d in zip(signs, diffs))) >= observed
+                   for signs in product((1, -1), repeat=len(diffs)))
+        return Fraction(hits, 2 ** len(diffs))
+
+    def test_model_ranking_p_values(self):
+        # the README's reading of the ranking: APX3 below APX4 is no evidence,
+        # APX2 below APX1 is
+        assert self.sign_flip_p("APX3", "APX4") == Fraction(3680, 4096)
+        assert self.sign_flip_p("APX1", "APX2") == Fraction(184, 4096)
 
     def test_zero_error_when_models_equal_tests(self):
         rows = [ref_row(1, t, "PvT", 0.7) for t in ("Test", "APX1", "APX2", "APX3", "APX4")]

@@ -130,6 +130,13 @@ class TestMatchupValidation:
         with pytest.raises(ScenarioError):
             MatchupSpec(army1=(), army2=(("marine", 1),))
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_count_rejected(self, count):
+        # a library matchup gets the rule a YAML one does: 2.5 marines once
+        # ran and left -90 survivors, and True ran as one unit
+        with pytest.raises(ScenarioError, match="army1: count for 'marine' must be an integer"):
+            MatchupSpec(army1=(("marine", count),), army2=(("zergling", 3),))
+
     def test_race_mismatch_rejected(self, catalog):
         bad = MatchupSpec(army1=(("marine", 1),), army2=(("zealot", 1),),
                           round=1, pairing="PvT")
