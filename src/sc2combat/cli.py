@@ -20,9 +20,9 @@ from typing import Sequence
 from . import report
 from .engine import ModelId
 from .errors import CombatError
-from .montecarlo import (SEED_LIMIT, AggregateResult, ExperimentSpec, run_experiment,
-                         run_experiments)
-from .scenarios import PAIRINGS, builtin_matchups, load_scenario, reference_table
+from .montecarlo import AggregateResult, ExperimentSpec, run_experiment, run_experiments
+from .scenarios import (PAIRINGS, builtin_matchups, count_problem, load_scenario,
+                        reference_table, seed_problem)
 from .units import (
     UnitCatalog,
     default_catalog,
@@ -182,8 +182,7 @@ def _table1_row(result: AggregateResult, fmt: str) -> list[object]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     catalog = _catalog_from(args)
-    with open(args.scenario, "r", encoding="utf-8") as handle:
-        scenario = load_scenario(handle, catalog)
+    scenario = load_scenario(args.scenario, catalog)
     # a flag that was given wins, then the scenario file, then the default
     model = ModelId.parse(args.model) if args.model else scenario.model or ModelId.APX4
     trials = _first_given(args.trials, scenario.trials, _DEFAULT_TRIALS)
@@ -290,13 +289,11 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for flag in ("trials", "jobs"):
+    for flag, problem in (("trials", count_problem), ("jobs", count_problem),
+                          ("seed", seed_problem)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            return _usage_error(f"--{flag} must be at least 1")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < SEED_LIMIT:
-        return _usage_error("--seed must be in [0, 2**64)")
+        if value is not None and (reason := problem(f"--{flag}", value)):
+            return _usage_error(reason)
     try:
         return args.func(args)
     except (CombatError, OSError) as exc:

@@ -38,10 +38,10 @@ the same order either way.
 
 A miss is cheaper where one side's counts repeat, as they do when a round
 kills only on the other side: each ``ArmyState`` keeps a side memo of its
-DPS sum keyed by its own counts (see ``compute_pool``), valid for any
-defender and model and bounded and bit-identical in the same way. The
-bonus pool depends on both sides; it reads per-defender rows built by
-``ArmyState.bonus_targets``.
+DPS sum keyed by its contributing counts (see ``compute_pool``), valid for
+any defender, model and round and bounded and bit-identical in the same
+way. The bonus pool depends on both sides; it reads per-defender rows
+built by ``ArmyState.bonus_targets``.
 """
 
 from __future__ import annotations
@@ -208,27 +208,23 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
     """One round's damage pool for ``attacker``, per the model's rules: the
     DPS of the contributing classes, then the bonus pool added once.
 
-    Outside a ranged-only opening round every class contributes, so the DPS
-    sum depends on the attacker's counts alone. It is memoized on the
-    attacker, keyed by them, for any defender and model; a full memo
-    (``_POOL_CACHE_ENTRIES``) keeps its entries and sums other counts afresh."""
+    The DPS sum is memoized on the attacker, keyed by the contributing
+    counts (melee ones read as 0 in a ranged-only opening round), for any
+    defender, model and round; a full memo (``_POOL_CACHE_ENTRIES``) keeps
+    its entries and sums other counts afresh."""
     ranged_only = model.ranged_first_round and is_first_round
+    key = tuple(attacker.counts)
     if ranged_only:
+        key = tuple([count if ranged else 0 for count, ranged in zip(key, attacker.ranged)])
+    sums = attacker._dps_sums
+    total = sums.get(key)
+    if total is None:
         total = 0.0
-        for count, dps, ranged in zip(attacker.counts, attacker.eff_dps, attacker.ranged):
-            if count and ranged:
+        for count, dps in zip(key, attacker.eff_dps):
+            if count:
                 total += count * dps
-    else:
-        sums = attacker._dps_sums
-        key = tuple(attacker.counts)
-        total = sums.get(key)
-        if total is None:
-            total = 0.0
-            for count, dps in zip(key, attacker.eff_dps):
-                if count:
-                    total += count * dps
-            if len(sums) < _POOL_CACHE_ENTRIES:
-                sums[key] = total
+        if len(sums) < _POOL_CACHE_ENTRIES:
+            sums[key] = total
     if model.bonus_pools:
         total += bonus_pool(attacker, defender, ranged_only)
     return total

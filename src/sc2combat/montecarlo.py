@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
-from .scenarios import SEED_LIMIT, MatchupSpec, resolve_matchup
-from .units import UnitCatalog, UnitClass, is_integer
+from .scenarios import SEED_LIMIT, MatchupSpec, count_problem, resolve_matchup, seed_problem
+from .units import UnitCatalog, UnitClass
 
 _SEED_MASK = SEED_LIMIT - 1
 
@@ -56,10 +56,13 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not is_integer(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not is_integer(self.master_seed) or not 0 <= self.master_seed < SEED_LIMIT:
-            raise ValueError(f"master_seed must be an int in [0, 2**64), got {self.master_seed!r}")
+        if not isinstance(self.matchup, MatchupSpec):
+            raise ValueError(f"matchup must be a MatchupSpec, got {self.matchup!r}")
+        if not isinstance(self.model, ModelId):
+            raise ValueError(f"model must be a ModelId, got {self.model!r}")
+        if reason := (count_problem("trials", self.trials)
+                      or seed_problem("master_seed", self.master_seed)):
+            raise ValueError(reason)
 
 
 @dataclass(frozen=True)
@@ -182,8 +185,8 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     with no pool. A spec's result is the sum of its blocks' outcome counts,
     so it is identical to a serial run for any ``n_jobs``.
     """
-    if not is_integer(n_jobs) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be an int >= 1, got {n_jobs!r}")
+    if reason := count_problem("n_jobs", n_jobs):
+        raise ValueError(reason)
     blocks = []  # (spec index, arguments of _count_outcomes)
     for k, spec in enumerate(specs):
         comp1, comp2 = resolve_matchup(spec.matchup, catalog)

@@ -82,9 +82,6 @@ class ExactDistribution:
 
     outcomes: dict[Outcome, Fraction]
 
-    def probability(self, outcome: Outcome) -> Fraction:
-        return self.outcomes.get(outcome, Fraction(0))
-
     def winner_probability(self, winner: Winner) -> Fraction:
         return sum(
             (p for (w, _, _), p in self.outcomes.items() if w is winner),

@@ -26,6 +26,20 @@ Composition = tuple[tuple[str, int], ...]
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 
 
+def count_problem(name: str, value: object) -> str | None:
+    """Why ``value`` is no count of trials or jobs, or None if it is one: an
+    int, not a bool, of at least 1. The reason names it ``name``."""
+    valid = is_integer(value) and value >= 1
+    return None if valid else f"{name} must be an int >= 1, got {value!r}"
+
+
+def seed_problem(name: str, value: object) -> str | None:
+    """Why ``value`` is no master seed, or None if it is one: an int, not a
+    bool, in ``[0, SEED_LIMIT)``. The reason names it ``name``."""
+    valid = is_integer(value) and 0 <= value < SEED_LIMIT
+    return None if valid else f"{name} must be an int in [0, 2**64), got {value!r}"
+
+
 @dataclass(frozen=True)
 class MatchupSpec:
     """Two armies by (unit name, count); builtin matchups carry a round/pairing id."""
@@ -218,22 +232,14 @@ def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
         army2=_parse_army(doc["army2"], "army2"),
         name=str(doc["name"]) if "name" in doc else None,
     )
-    resolve_composition(catalog, matchup.army1)
-    resolve_composition(catalog, matchup.army2)
+    resolve_matchup(matchup, catalog)
     model = None
     if "model" in doc:
         try:
             model = ModelId.parse(str(doc["model"]))
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-    trials = None
-    if "trials" in doc:
-        if not is_integer(doc["trials"]) or doc["trials"] < 1:
-            raise ScenarioError("trials must be a positive integer")
-        trials = doc["trials"]
-    seed = None
-    if "seed" in doc:
-        if not is_integer(doc["seed"]) or not 0 <= doc["seed"] < SEED_LIMIT:
-            raise ScenarioError("seed must be an integer in [0, 2**64)")
-        seed = doc["seed"]
-    return Scenario(matchup=matchup, model=model, trials=trials, seed=seed)
+    for key, problem in (("trials", count_problem), ("seed", seed_problem)):
+        if key in doc and (reason := problem(key, doc[key])):
+            raise ScenarioError(reason)
+    return Scenario(matchup=matchup, model=model, trials=doc.get("trials"), seed=doc.get("seed"))

@@ -277,18 +277,14 @@ def dumps_catalog(catalog: UnitCatalog) -> str:
     return yaml.safe_dump(records, sort_keys=False)
 
 
-def default_catalog_path() -> str | None:
-    """Path of the catalog named by $SC2COMBAT_CATALOG, if set."""
-    return os.environ.get(DEFAULT_CATALOG_ENV) or None
-
-
 def default_catalog() -> UnitCatalog:
-    """The bundled Wings-of-Liberty-era catalog, unless overridden by env var.
+    """The catalog file that $SC2COMBAT_CATALOG names, if it is set and not
+    empty, else the bundled Wings-of-Liberty-era catalog.
 
     The bundled file is parsed once per process; an override is read on
     every call. Each call returns a new catalog.
     """
-    override = default_catalog_path()
+    override = os.environ.get(DEFAULT_CATALOG_ENV)
     if override:
         return load_catalog(override)
     return _catalog_from(bundled_yaml("units.yaml"))

@@ -13,11 +13,13 @@ from sc2combat import (
     MatchupSpec,
     ModelId,
     UnitCatalog,
+    builtin_matchups,
     enumerate_compositions,
     find_matchup,
     mae_by_model,
     reference_table,
     run_experiment,
+    run_experiments,
     sample_outcomes,
 )
 from sc2combat.units import default_catalog, effective_bonus_dps, effective_dps, effective_health
@@ -228,6 +230,32 @@ def test_criterion_4_reference_row_reproduction():
     print(f"\nACCEPTANCE 4 PASS: round 1 PvT APX1 {r1_pvt:.2f} (0.99 +/-0.05), "
           f"round 4 PvT APX1 {r4_pvt:.2f} (1.00 -0.02), "
           f"round 4 TvZ APX4 {r4_tvz:.2f} (0.00 +0.05); {tvz_note}")
+
+
+def test_criterion_4_docs_full_grid_is_current():
+    """The docs' full grid is what the code gives at seed 0 and 1000 trials:
+    every row's simulated, bundled and diff cells, as printed."""
+    grid = DOCS.read_text().split("## Full grid", 1)[1]
+    documented = {
+        (int(m[1]), m[2], m[3]): m.group(4, 5, 6)
+        for m in re.finditer(r"^\| (\d) \| (\w+) \| (APX\d) \| (\S+) \| (\S+) \| (\S+) \|$",
+                             grid, re.MULTILINE)
+    }
+    specs = [ExperimentSpec(matchup=m, model=model, trials=1000, master_seed=0)
+             for m in builtin_matchups() for model in ModelId]
+    bundled = {(r.round, r.match, r.type): r.win1 for r in reference_table()}
+    regenerated = {}
+    for result in run_experiments(specs, default_catalog()):
+        m = result.spec.matchup
+        key = (m.round, m.pairing, result.spec.model.name)
+        simulated = round(result.reported_win1, 2)
+        regenerated[key] = (f"{simulated:.2f}", f"{bundled[key]:.2f}",
+                            f"{simulated - bundled[key]:+.2f}")
+    assert len(documented) == 48
+    stale = {key: (documented.get(key), cells) for key, cells in regenerated.items()
+             if documented.get(key) != cells}
+    assert not stale, f"docs/reproduction.md full grid (documented, regenerated): {stale}"
+    print(f"\nACCEPTANCE 4 PASS: docs full grid matches all {len(regenerated)} specs")
 
 
 def test_criterion_5_test_rows_are_reference_only():

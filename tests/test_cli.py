@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_catalog, report,
-                       reference_table, run_experiment)
+from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_catalog,
+                       find_matchup, report, reference_table, run_experiment, run_experiments)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
 from sc2combat.units import DEFAULT_CATALOG_ENV
 
@@ -57,6 +57,68 @@ def assert_one_error_line(result, prefix):
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def after_name(message, name):
+    """The words of ``message`` after the setting's ``name`` that opens it."""
+    assert message.startswith(f"{name} "), message
+    return message[len(name):]
+
+
+class TestOneRulePerSetting:
+    """A bad trial count, job count or seed gets the same words from every
+    front end: a flag (exit 2), a scenario file (exit 1) and the library
+    (ValueError), each naming the setting its own way. argparse rejects a
+    non-int flag itself, so flags get only the int values."""
+
+    def flag_reasons(self, capsys, flags, value):
+        reasons = []
+        for flag in flags:
+            code, out, err = run_cli(capsys, "reproduce", flag, str(value))
+            assert code == 2 and out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            reasons.append(after_name(lines[0].removeprefix("error: "), flag))
+        return reasons
+
+    def file_reason(self, capsys, tmp_path, key, old, value):
+        path = tmp_path / "battle.yaml"
+        path.write_text(SCENARIO.replace(f"{key}: {old}", f"{key}: {str(value).lower()}"))
+        result = run_cli(capsys, "run", "--scenario", str(path))
+        assert_one_error_line(result, f"error: {key} ")
+        return after_name(result[2].strip().removeprefix("error: "), key)
+
+    @staticmethod
+    def library_reason(name, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        return after_name(str(info.value), name)
+
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5])
+    def test_bad_count_same_words_everywhere(self, capsys, tmp_path, value):
+        matchup = find_matchup(1, "PvT")
+        spec = ExperimentSpec(matchup, ModelId.APX1, trials=1)
+        reasons = [
+            self.file_reason(capsys, tmp_path, "trials", 50, value),
+            self.library_reason("trials", lambda: ExperimentSpec(matchup, ModelId.APX1, value)),
+            self.library_reason("n_jobs", lambda: run_experiments([spec], default_catalog(),
+                                                                  n_jobs=value)),
+        ]
+        if type(value) is int:
+            reasons += self.flag_reasons(capsys, ("--trials", "--jobs"), value)
+        assert set(reasons) == {f" must be an int >= 1, got {value!r}"}
+
+    @pytest.mark.parametrize("value", [-1, 2**64, False])
+    def test_bad_seed_same_words_everywhere(self, capsys, tmp_path, value):
+        matchup = find_matchup(1, "PvT")
+        reasons = [
+            self.file_reason(capsys, tmp_path, "seed", 42, value),
+            self.library_reason("master_seed",
+                                lambda: ExperimentSpec(matchup, ModelId.APX1, 1, value)),
+        ]
+        if type(value) is int:
+            reasons += self.flag_reasons(capsys, ("--seed",), value)
+        assert set(reasons) == {f" must be an int in [0, 2**64), got {value!r}"}
 
 
 class TestListCommands:

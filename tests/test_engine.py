@@ -132,6 +132,20 @@ class TestSidePoolMemo:
                     assert self.pools(shared, defender) == self.fresh_pools(counts, defender)
         assert set(shared._dps_sums) == set(attacker_counts)
 
+    @pytest.mark.parametrize("model", [ModelId.APX2, ModelId.APX4])
+    def test_opening_and_later_rounds_share_the_memo(self, model):
+        # a ranged-only opening reads the melee counts as 0, and that masked
+        # tuple is the key a later round at those very counts reads
+        shared, defender = ArmyState(self.ATTACKER), ArmyState(self.DEFENDERS[0])
+        shared.counts[:] = (3, 2, 1)
+        compute_pool(shared, defender, model, True)
+        assert set(shared._dps_sums) == {(0, 2, 1)}
+        opening_sum = shared._dps_sums[0, 2, 1]
+        shared.counts[:] = (0, 2, 1)
+        later = compute_pool(shared, defender, ModelId.APX1, False)
+        assert later == opening_sum == self.fresh_pools((0, 2, 1), defender)[1]
+        assert set(shared._dps_sums) == {(0, 2, 1)}
+
     def test_memo_stops_growing_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", 5)
         shared, defender = ArmyState(self.ATTACKER), ArmyState(self.DEFENDERS[1])

@@ -255,6 +255,15 @@ class TestSettingsValidation:
             ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]), model=ModelId.APX1,
                            **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("model", "apx4"), ("model", 4), ("matchup", ((("fast", 1),), (("slow", 1),))),
+    ])
+    def test_wrong_typed_spec_rejected(self, field, value):
+        # caught at construction, not as an AttributeError deep in the engine
+        fields = dict(matchup=find_matchup(1, "PvT"), model=ModelId.APX4, trials=10)
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            ExperimentSpec(**{**fields, field: value})
+
     @pytest.mark.parametrize("n_jobs", [True, 1.5])
     def test_non_integer_n_jobs_rejected(self, n_jobs):
         spec = ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]), model=ModelId.APX1)
