@@ -1,11 +1,13 @@
 """Deterministic Monte Carlo harness.
 
 Trials are grouped in chunks of ``CHUNK`` consecutive trial indices, and
-each chunk gets its own random stream, keyed by (master seed, chunk index)
-through a hash; the trials of a chunk draw from it one after another, in
-index order. One loop runs every trial: it counts the terminal outcomes of
-a block of trials, which starts on a chunk boundary and shares one pair of
-army states and with it the engine's cache of round pools.
+each chunk gets its own random stream, seeded by ``trial_seed``: the
+BLAKE2b-128 digest of ``struct.pack("<QQ", master_seed, chunk)`` (both
+taken mod 2**64), read as a little-endian integer. The trials of a chunk
+draw from it one after another, in index order. One loop runs every trial:
+it counts the terminal outcomes of a block of trials, which starts on a
+chunk boundary and shares one pair of army states and with it the engine's
+cache of round pools.
 ``run_experiments`` splits each spec into blocks of whole chunks, runs the
 blocks of all specs on one process pool, and sums each spec's counts; every
 trial sees the same stream however the trials were partitioned, and summing
@@ -15,13 +17,20 @@ is order-independent, so results are identical for any number of jobs.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+# ``hashlib`` takes BLAKE2 from ``_blake2`` too, but importing it loads
+# OpenSSL's libcrypto (about 3.4 MB of resident memory) for nothing; the
+# stdlib's ``random`` takes ``_sha512`` the same way.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
@@ -38,7 +47,7 @@ CHUNK = 64
 def trial_seed(master_seed: int, chunk: int) -> int:
     """Keyed, splittable derivation of the seed of one chunk of trials."""
     packed = struct.pack("<QQ", master_seed & _SEED_MASK, chunk & _SEED_MASK)
-    return int.from_bytes(hashlib.blake2b(packed, digest_size=16).digest(), "little")
+    return int.from_bytes(blake2b(packed, digest_size=16).digest(), "little")
 
 
 def trial_rng(master_seed: int, chunk: int) -> random.Random:

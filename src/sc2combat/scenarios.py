@@ -218,6 +218,8 @@ def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
 
     The document holds ``army1`` and ``army2`` mappings of unit name to
     count, plus optional ``model``, ``trials``, ``seed`` and ``name`` keys.
+    None of the optional keys may be null; a non-null ``name`` is kept in
+    its ``str()`` form.
     """
     doc = read_yaml(source, "scenario", ScenarioError)
     if not isinstance(doc, dict):
@@ -227,6 +229,8 @@ def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
         raise ScenarioError(f"scenario has unknown keys: {sorted(unknown)}")
     if "army1" not in doc or "army2" not in doc:
         raise ScenarioError("scenario must define army1 and army2")
+    if "name" in doc and doc["name"] is None:
+        raise ScenarioError("name must not be null")
     matchup = MatchupSpec(
         army1=_parse_army(doc["army1"], "army1"),
         army2=_parse_army(doc["army2"], "army2"),

@@ -39,33 +39,54 @@ from conftest import make_unit
 CASES = settings(max_examples=1000, deadline=None)
 
 ATTRS = ("light", "armored", "biological")
+MAX_UNITS = 3
+MAX_CLASSES = 2
+
+# Every strategy the composites below draw from is built once, here: built
+# on every draw, they cost more than the properties that use them.
+BONUS_TAG = st.sampled_from((None,) + ATTRS)
+HEALTH = st.integers(1, 30)
+SHIELDS = st.integers(0, 10)
+ARMOR = st.integers(0, 2)
+DPS = {True: st.integers(1, 12), False: st.integers(0, 12)}  # keyed by force_dps
+RANGED = st.booleans()
+AOE = st.sampled_from((1, 2))
+UNIT_ATTRS = st.sets(st.sampled_from(ATTRS), max_size=2)
+BONUS = st.integers(1, 6)
+UP_TO = {hi: st.integers(1, hi) for hi in range(1, MAX_UNITS + 1)}
 
 
 @st.composite
 def units(draw, index=0, force_dps=True):
-    bonus_tag = draw(st.sampled_from((None,) + ATTRS))
+    bonus_tag = draw(BONUS_TAG)
     return make_unit(
         name=f"u{index}",
-        health=draw(st.integers(1, 30)),
-        shields=draw(st.integers(0, 10)),
-        armor=draw(st.integers(0, 2)),
-        dps=float(draw(st.integers(1 if force_dps else 0, 12))),
-        ranged=draw(st.booleans()),
-        aoe=float(draw(st.sampled_from((1, 2)))),
-        attrs=draw(st.sets(st.sampled_from(ATTRS), max_size=2)),
-        bonus=float(draw(st.integers(1, 6))) if bonus_tag else 0.0,
+        health=draw(HEALTH),
+        shields=draw(SHIELDS),
+        armor=draw(ARMOR),
+        dps=float(draw(DPS[force_dps])),
+        ranged=draw(RANGED),
+        aoe=float(draw(AOE)),
+        attrs=draw(UNIT_ATTRS),
+        bonus=float(draw(BONUS)) if bonus_tag else 0.0,
         bonus_vs=(bonus_tag,) if bonus_tag else (),
     )
 
 
+# the units of each class index, keyed by force_dps
+CLASS_UNITS = {force: tuple(units(index=i, force_dps=force) for i in range(MAX_CLASSES))
+               for force in (True, False)}
+
+
 @st.composite
-def compositions(draw, max_units=3, classes=2, force_dps=True):
-    n_classes = draw(st.integers(1, classes))
+def compositions(draw, force_dps=True):
+    """1 to MAX_CLASSES unit classes of MAX_UNITS units at most in all."""
+    n_classes = draw(UP_TO[MAX_CLASSES])
     comp = []
-    remaining = max_units
+    remaining = MAX_UNITS
     for i in range(n_classes):
-        count = draw(st.integers(1, max(1, remaining - (n_classes - 1 - i))))
-        comp.append((draw(units(index=i, force_dps=force_dps)), count))
+        count = draw(UP_TO[max(1, remaining - (n_classes - 1 - i))])
+        comp.append((draw(CLASS_UNITS[force_dps][i]), count))
         remaining -= count
     return comp
 
@@ -126,7 +147,7 @@ def prop_trial_survivors_bounded(comp1, comp2, model, seed):
 
 
 @CASES
-@given(comp=compositions(max_units=3), pool=st.integers(1, 120),
+@given(comp=compositions(), pool=st.integers(1, 120),
        policy=st.sampled_from(TargetPolicy), seed=st.integers(0, 2**32))
 def prop_pool_kills_bounded(comp, pool, policy, seed):
     defender = ArmyState(comp)
@@ -160,7 +181,7 @@ def prop_pools_nonnegative_bonus_bounded(comp1, comp2, model, first):
 
 
 @CASES
-@given(comp=compositions(classes=2), enemy=compositions(),
+@given(comp=compositions(), enemy=compositions(),
        model=st.sampled_from([ModelId.APX2, ModelId.APX3, ModelId.APX4]))
 def prop_melee_contributes_nothing_first_round(comp, enemy, model):
     attacker = ArmyState(comp)

@@ -240,6 +240,13 @@ class TestRun:
         record = json.loads(out)[0]
         assert (record["trials"], record["seed"]) == (trials, seed)
 
+    def test_null_scenario_name_is_data_error(self, capsys, tmp_path):
+        # a null name once ran with exit 0, labelled "None"
+        path = tmp_path / "battle.yaml"
+        path.write_text(SCENARIO + "name: ~\n")
+        assert_one_error_line(run_cli(capsys, "run", "--scenario", str(path)),
+                              "error: name must not be null")
+
     def test_model_flag_overrides_scenario(self, capsys, tmp_path):
         path = tmp_path / "battle.yaml"
         path.write_text(SCENARIO)
@@ -384,6 +391,25 @@ class TestWorkerPool:
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=60)
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_never_load_openssl(self):
+        # a fresh interpreter, since pytest itself imports hashlib: the chunk
+        # seeds hash with _blake2, so no run, serial or pooled, needs _hashlib
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import contextlib, io, sys\n"
+                "from sc2combat.cli import run_command\n"
+                "from sc2combat import ExperimentSpec, ModelId, default_catalog, "
+                "find_matchup, run_experiment\n"
+                "run_experiment(ExperimentSpec(find_matchup(1, 'PvT'), ModelId.APX4, 100, 3), "
+                "default_catalog())\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert run_command(['list-units']) == 0\n"
+                "    assert run_command(['reproduce', '--trials', '20', '--jobs', '2']) == 0\n"
+                "print('_hashlib' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "False"
 
 
 class TestMae:

@@ -1,5 +1,7 @@
 import concurrent.futures
+import hashlib
 import math
+import struct
 from dataclasses import replace
 
 import pytest
@@ -45,6 +47,16 @@ class TestTrialStreams:
         assert trial_seed(1, 0) == trial_seed(1, 0)
         assert trial_seed(1, 0) != trial_seed(1, 1)
         assert trial_seed(1, 0) != trial_seed(2, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1])
+    @pytest.mark.parametrize("chunk", [0, 1, 2**64 - 1])
+    def test_seed_is_blake2b_128_of_packed_pair(self, seed, chunk):
+        # the definition every stream, golden digest and pinned row rests on;
+        # -1 aliases 2**64 - 1 through the 64-bit mask
+        mask = 2**64 - 1
+        packed = struct.pack("<QQ", seed & mask, chunk & mask)
+        digest = hashlib.blake2b(packed, digest_size=16).digest()
+        assert trial_seed(seed, chunk) == int.from_bytes(digest, "little")
 
     def test_negative_master_seed_accepted(self):
         assert trial_seed(-7, 3) == trial_seed(-7, 3)

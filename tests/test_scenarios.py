@@ -188,6 +188,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="seed"):
             load_scenario(io.StringIO(doc), catalog)
 
+    @pytest.mark.parametrize("key", ["name", "model", "trials", "seed"])
+    def test_null_optional_key_rejected(self, catalog, key):
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(io.StringIO(f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\n{key}: ~"),
+                          catalog)
+
+    @pytest.mark.parametrize("value, name", [("skirmish", "skirmish"), ("42", "42"), ("''", "")])
+    def test_name_kept_as_text(self, catalog, value, name):
+        doc = f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\nname: {value}"
+        assert load_scenario(io.StringIO(doc), catalog).matchup.name == name
+
     def test_unknown_key(self, catalog):
         with pytest.raises(ScenarioError, match="unknown"):
             load_scenario(io.StringIO(SCENARIO + "\nupgrades: 3"), catalog)
