@@ -24,13 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-# ``hashlib`` takes BLAKE2 from ``_blake2`` too, but importing it loads
-# OpenSSL's libcrypto (about 3.4 MB of resident memory) for nothing; the
-# stdlib's ``random`` takes ``_sha512`` the same way.
-try:
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# ``import hashlib`` loads OpenSSL's libcrypto (about 3.4 MB of resident
+# memory), while ``hashlib.blake2b`` is this same ``_blake2.blake2b``.
+from _blake2 import blake2b
 
 from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
