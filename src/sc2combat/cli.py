@@ -21,7 +21,7 @@ from . import report
 from .engine import ModelId
 from .errors import CombatError
 from .montecarlo import AggregateResult, ExperimentSpec, run_experiment, run_experiments
-from .scenarios import (PAIRINGS, builtin_matchups, count_problem, load_scenario,
+from .scenarios import (PAIRINGS, ROUNDS, builtin_matchups, count_problem, load_scenario,
                         reference_table, seed_problem)
 from .units import (
     UnitCatalog,
@@ -35,7 +35,8 @@ from .units import (
 TABLE1_COLUMNS = ("round", "type", "match",
                   "1-1", "1-2", "1-3", "1-4", "2-1", "2-2", "2-3", "2-4",
                   "1-%", "2-%")
-_DEFAULT_TRIALS, _DEFAULT_SEED = 1000, 0
+_DEFAULT_TRIALS, _DEFAULT_SEED = ExperimentSpec.trials, ExperimentSpec.master_seed
+_MODELS = tuple(model.name.lower() for model in ModelId)
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -59,13 +60,13 @@ def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> Non
 
 def _add_filters(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="all",
-                        choices=("apx1", "apx2", "apx3", "apx4", "all"),
+                        choices=(*_MODELS, "all"),
                         help="model to run (default all)")
     parser.add_argument("--round", default="all", dest="round_",
-                        choices=("1", "2", "3", "4", "all"),
+                        choices=(*map(str, ROUNDS), "all"),
                         help="benchmark round (default all)")
     parser.add_argument("--match", default="all",
-                        choices=("pvt", "tvz", "pvz", "all"),
+                        choices=(*(pairing.lower() for pairing in PAIRINGS), "all"),
                         help="race pairing (default all)")
 
 
@@ -78,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a scenario file")
     p_run.add_argument("--scenario", required=True, metavar="PATH")
-    p_run.add_argument("--model", default=None,
-                       choices=("apx1", "apx2", "apx3", "apx4"),
+    p_run.add_argument("--model", default=None, choices=_MODELS,
                        help="model to run (overrides the scenario file)")
     _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)

@@ -77,9 +77,9 @@ class AggregateResult:
     Stalemated trials count as draws and are additionally tallied in
     ``stalemate_count``. A trial stalemates when ``run_trial`` raises
     StalemateError: no kill is possible in a round after the first. Survivor
-    sums accumulate per-class counts only over trials the army won, so
-    ``mean_survivors*`` are win-conditioned means (None if that army never
-    won).
+    sums add per-class counts over the finished trials, in which a side that
+    did not win has no unit left, so ``mean_survivors*`` are win-conditioned
+    means (None if that army never won).
     """
 
     spec: ExperimentSpec
@@ -164,10 +164,8 @@ def _aggregate(spec: ExperimentSpec, counts: Counter[Optional[Outcome]]) -> Aggr
             continue
         winner, alive1, alive2 = outcome
         wins[winner] += n
-        if winner is Winner.ARMY1:
-            survivors1 = [s + n * a for s, a in zip(survivors1, alive1)]
-        elif winner is Winner.ARMY2:
-            survivors2 = [s + n * a for s, a in zip(survivors2, alive2)]
+        survivors1 = [s + n * a for s, a in zip(survivors1, alive1)]
+        survivors2 = [s + n * a for s, a in zip(survivors2, alive2)]
     return AggregateResult(
         spec=spec,
         win1_count=wins[Winner.ARMY1],

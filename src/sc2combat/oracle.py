@@ -7,8 +7,11 @@ target is drawn from, and each round's damage pools come from
 engine.compute_pool. What it does on its own is spend those pools: where
 the engine's trial loop draws targets and kill rolls (engine._spend, or one
 draw per played round in a lottery state), the enumeration works out every
-target selection and probabilistic kill with exact rational arithmetic.
-Comparing the two, through the sampled outcomes of
+target selection and probabilistic kill exactly, over nodes (pool left,
+counts left), one level per sure kill. Branches that meet at a node merge,
+as nothing else decides what follows, so a pool costs its distinct nodes,
+not its kill orders; the float pool in the key keeps apart kill orders
+that round differently. Comparing the two, through the sampled outcomes of
 montecarlo.sample_outcomes, checks the engine's sampling.
 
 A battle state is the pair (counts1, counts2). The enumeration propagates
@@ -30,9 +33,8 @@ The enumeration folds that loop analytically by dividing the state's mass by
 1 - q before pushing it on, so it needs no round cap. A reachable state with
 q == 1 can never progress and raises StalemateError.
 
-Probabilities are exact integer arithmetic, carried unreduced. A spending
-distribution is integer weights over one denominator. A state's mass, and
-an outcome's probability, is a triple (n, d, u) worth
+Probabilities are exact integer arithmetic, carried unreduced. A mass, of a
+state, an outcome or a spending node, is a triple (n, d, u) worth
 n / (d * prod(factors[k] for k in u)): d gathers the small denominators of
 selection odds and kill chances; factors[k] is the numerator of 1 - q, in
 lowest terms, at the k-th folded state, where the large factors come from;
@@ -103,35 +105,35 @@ def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
     ``counts``: every selection/kill branch, exactly, with targets drawn from
     the classes ``ArmyState.eligible`` names, as ``engine.apply_pool`` does.
     Returned as integer weights over one denominator, in lowest terms."""
-    leaves: list[tuple[tuple[int, ...], int, int]] = []  # (counts, num, den)
-
-    def expand(pool: float, counts: tuple[int, ...], num: int, den: int) -> None:
-        if pool <= 0 or not any(counts):
-            leaves.append((counts, num, den))
-            return
-        eligible, total = army.eligible(policy, counts)
-        for i in eligible:
-            if not counts[i]:
+    no_factors: frozenset[int] = frozenset()
+    nodes: dict[tuple[float, tuple[int, ...]], _Mass] = {(pool, counts): (1, 1, no_factors)}
+    left: dict[tuple[int, ...], _Mass] = {}
+    while nodes:
+        after: dict = {}  # the nodes one more sure kill on
+        for (pool, counts), (num, den, _) in nodes.items():
+            if pool <= 0 or not any(counts):
+                _add_mass(left, counts, num, den, no_factors, [])
                 continue
-            n, d = num * counts[i], den * total
-            health = army.eff_health[i]
-            killed = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-            if pool >= health:
-                expand(pool - health, killed, n, d)
-            else:  # kill with chance pool / health, both floats taken exactly
-                pool_n, pool_d = pool.as_integer_ratio()
-                health_n, health_d = health.as_integer_ratio()
-                kill, d = pool_n * health_d, d * pool_d * health_n
-                leaves.append((killed, n * kill, d))
-                leaves.append((counts, n * (pool_d * health_n - kill), d))
-
-    expand(pool, counts, 1, 1)
-    denominator = lcm(*(d for _, _, d in leaves))
-    weights: dict[tuple[int, ...], int] = {}
-    for left, n, d in leaves:
-        weights[left] = weights.get(left, 0) + n * (denominator // d)
+            eligible, total = army.eligible(policy, counts)
+            for i in eligible:
+                if not counts[i]:
+                    continue
+                n, d = num * counts[i], den * total
+                health = army.eff_health[i]
+                killed = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+                if pool >= health:
+                    _add_mass(after, (pool - health, killed), n, d, no_factors, [])
+                else:  # kill with chance pool / health, both floats taken exactly
+                    pool_n, pool_d = pool.as_integer_ratio()
+                    health_n, health_d = health.as_integer_ratio()
+                    kill, d = pool_n * health_d, d * pool_d * health_n
+                    _add_mass(left, killed, n * kill, d, no_factors, [])
+                    _add_mass(left, counts, n * (pool_d * health_n - kill), d, no_factors, [])
+        nodes = after
+    denominator = lcm(*(d for _, d, _ in left.values()))
+    weights = {counts: n * (denominator // d) for counts, (n, d, _) in left.items()}
     g = gcd(denominator, *weights.values())
-    return {left: w // g for left, w in weights.items()}, denominator // g
+    return {counts: w // g for counts, w in weights.items()}, denominator // g
 
 
 def _add_mass(masses: dict, key, n: int, d: int, u: frozenset[int],

@@ -98,11 +98,10 @@ class ReferenceRow:
             raise ScenarioError(f"unknown row type: {self.type!r}")
         if self.match not in PAIRINGS or self.round not in ROUNDS:
             raise ScenarioError(f"bad row id: round {self.round} {self.match}")
-        if not 0.99 <= self.win1 + self.win2 <= 1.01:
-            raise ScenarioError(
-                f"round {self.round} {self.type} {self.match}: "
-                f"win percentages sum to {self.win1 + self.win2:.2f}"
-            )
+        if not (0 <= self.win1 <= 1 and 0 <= self.win2 <= 1
+                and 0.99 <= self.win1 + self.win2 <= 1.01):
+            raise ScenarioError(f"round {self.round} {self.type} {self.match}: win percentages "
+                                f"{self.win1} and {self.win2} must lie in [0, 1] and sum to 1")
 
 
 def resolve_composition(catalog: UnitCatalog, army: Composition,

@@ -269,6 +269,17 @@ class TestUsageErrors:
     def test_run_requires_scenario(self, capsys):
         assert run_cli(capsys, "run")[0] == 2
 
+    @pytest.mark.parametrize("command, choices", [
+        ("run", ["--model {apx1,apx2,apx3,apx4}]"]),
+        ("reproduce", ["--model {apx1,apx2,apx3,apx4,all}]", "--round {1,2,3,4,all}]",
+                       "--match {pvt,tvz,pvz,all}]"]),
+        ("compare", ["--model {apx1,apx2,apx3,apx4,all}]", "--round {1,2,3,4,all}]",
+                     "--match {pvt,tvz,pvz,all}]"]),
+    ])
+    def test_help_lists_the_model_round_and_match_names(self, capsys, command, choices):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and all(choice in out for choice in choices)
+
     @pytest.mark.parametrize("argv", [
         ("reproduce", "--trials", "0"),
         ("compare", "--trials", "-5"),

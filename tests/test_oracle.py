@@ -1,16 +1,21 @@
 import hashlib
+import random
+import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import sc2combat.oracle as oracle
 from sc2combat import (
+    ArmyState,
     EnumerationLimitError,
     EnumerationLimits,
     MatchupSpec,
     ModelId,
     ScenarioError,
     StalemateError,
+    TargetPolicy,
     UnitCatalog,
     Winner,
     enumerate_compositions,
@@ -234,3 +239,82 @@ def test_degeneracy_spot_checks():
     apx3 = enumerate_compositions([(melee, 3)], [(shooter, 2)], ModelId.APX3)
     apx4 = enumerate_compositions([(melee, 3)], [(shooter, 2)], ModelId.APX4)
     assert apx3.outcomes == apx4.outcomes
+
+
+def _leaf_list_distribution(pool, army, counts, policy):
+    """The reference for ``oracle._apply_distribution``: one leaf per ordered
+    kill sequence, no two merged, folded over one lcm at the end."""
+    leaves = []  # (counts, num, den)
+
+    def expand(pool, counts, num, den):
+        if pool <= 0 or not any(counts):
+            leaves.append((counts, num, den))
+            return
+        eligible, total = army.eligible(policy, counts)
+        for i in eligible:
+            if not counts[i]:
+                continue
+            n, d = num * counts[i], den * total
+            health = army.eff_health[i]
+            killed = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+            if pool >= health:
+                expand(pool - health, killed, n, d)
+            else:
+                pool_n, pool_d = pool.as_integer_ratio()
+                health_n, health_d = health.as_integer_ratio()
+                kill, d = pool_n * health_d, d * pool_d * health_n
+                leaves.append((killed, n * kill, d))
+                leaves.append((counts, n * (pool_d * health_n - kill), d))
+
+    expand(pool, counts, 1, 1)
+    denominator = lcm(*(d for _, _, d in leaves))
+    weights = {}
+    for left, n, d in leaves:
+        weights[left] = weights.get(left, 0) + n * (denominator // d)
+    g = gcd(denominator, *weights.values())
+    return {left: w // g for left, w in weights.items()}, denominator // g
+
+
+def test_spending_matches_leaf_list_expansion():
+    # 1-4 classes of 0-3 units, melee and ranged, armor 0-3 (so non-integer
+    # effective healths); small pools, and pools near 1e16 where a float
+    # subtraction rounds and two kill orders can leave different pools
+    rng = random.Random(22)
+    for _ in range(600):
+        huge = rng.random() < 0.3
+        comp = [(make_unit(f"u{i}", health=rng.choice((1e16, 1e16 + 6, 2, 7)) if huge
+                           else rng.randint(1, 30),
+                           ranged=rng.random() < 0.5, armor=0 if huge else rng.randint(0, 3)),
+                 rng.randint(0, 3)) for i in range(rng.randint(1, 4))]
+        army = ArmyState(comp)
+        pool = (rng.randint(1, 3) * 1e16 + rng.choice((0, 1, 5, 13)) if huge
+                else rng.choice((rng.uniform(0, 60), float(rng.randint(0, 60)))))
+        for policy in TargetPolicy:
+            assert (oracle._apply_distribution(pool, army, army.initial_counts, policy)
+                    == _leaf_list_distribution(pool, army, army.initial_counts, policy))
+
+
+def test_kill_orders_leaving_different_pools_stay_apart():
+    # killing the 1e16 unit before or after the 6.5 one leaves two different
+    # float pools at the same counts, and so two chances to kill the last unit
+    army = ArmyState([(make_unit("big", health=1e16), 2), (make_unit("small", health=6.5), 1)])
+    pool = 2e16 + 5
+    assert (pool - 1e16) - 6.5 != (pool - 6.5) - 1e16
+    for policy in TargetPolicy:
+        assert (oracle._apply_distribution(pool, army, army.initial_counts, policy)
+                == _leaf_list_distribution(pool, army, army.initial_counts, policy))
+
+
+@pytest.mark.parametrize("policy", list(TargetPolicy))
+def test_sixteen_unit_pool_spends_in_under_a_second(policy):
+    # ten sure kills over four classes: about 4**10 kill orders, far fewer
+    # distinct (pool, counts) nodes
+    classes = [make_unit(f"c{h}", health=h, dps=1.0) for h in (10, 11, 12, 13)]
+    small = ArmyState([(unit, 2) for unit in classes])
+    assert (oracle._apply_distribution(11.5 * 6, small, small.initial_counts, policy)
+            == _leaf_list_distribution(11.5 * 6, small, small.initial_counts, policy))
+    army = ArmyState([(unit, 4) for unit in classes])
+    start = time.perf_counter()
+    weights, denominator = oracle._apply_distribution(11.5 * 10, army, army.initial_counts, policy)
+    assert time.perf_counter() - start < 1.0
+    assert sum(weights.values()) == denominator

@@ -5,6 +5,7 @@ import pytest
 import sc2combat.units as units
 from sc2combat import (
     ModelId,
+    ReferenceRow,
     ScenarioError,
     builtin_matchups,
     default_catalog,
@@ -87,6 +88,11 @@ class TestReferenceTable:
     def test_win_fractions_sum_near_one(self):
         for row in reference_table():
             assert 0.99 <= row.win1 + row.win2 <= 1.01
+
+    @pytest.mark.parametrize("win1, win2", [(1.5, -0.5), (-0.5, 1.5), (0.5, 0.6)])
+    def test_win_fraction_outside_unit_interval_or_bad_sum_rejected(self, win1, win2):
+        with pytest.raises(ScenarioError, match=r"must lie in \[0, 1\] and sum to 1"):
+            ReferenceRow(1, "Test", "PvT", (0,) * 4, (0,) * 4, win1, win2)
 
 
 class TestBundledDataCache:
