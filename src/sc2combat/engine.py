@@ -192,14 +192,12 @@ def bonus_pool(attacker: ArmyState, defender: ArmyState, ranged_only: bool) -> f
         return 0.0
     total = 0.0
     for i, targets, dps, ranged in attacker.bonus_targets(defender):
-        count = acounts[i]
-        if count == 0 or (ranged_only and not ranged):
+        if ranged_only and not ranged:
             continue
         vulnerable = 0
         for j in targets:
             vulnerable += dcounts[j]
-        if vulnerable:
-            total += count * dps * (vulnerable / defenders)
+        total += acounts[i] * dps * (vulnerable / defenders)
     return total
 
 
@@ -221,8 +219,7 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
     if total is None:
         total = 0.0
         for count, dps in zip(key, attacker.eff_dps):
-            if count:
-                total += count * dps
+            total += count * dps
         if len(sums) < _POOL_CACHE_ENTRIES:
             sums[key] = total
     if model.bonus_pools:
@@ -236,8 +233,8 @@ def _spend(pool: float, defender: ArmyState, policy: TargetPolicy,
     """Spend ``pool`` on ``defender``, ``left`` of whose units are in the
     eligible classes ``group``; returns the damage left over and the new
     ``(group, left)``. The spending rule of ``apply_pool`` and ``run_trial``.
-    A ``left`` of 0 is refreshed (``ArmyState.eligible``), so it stays 0
-    only when no unit is alive."""
+    A pool of 0 draws nothing. A ``left`` of 0 is refreshed
+    (``ArmyState.eligible``), so it stays 0 only when no unit is alive."""
     counts, health = defender.counts, defender.eff_health
     while pool > 0 and left:
         pick = random() * left
@@ -394,10 +391,8 @@ def run_trial(army1: ArmyState, army2: ArmyState,
             if side2:
                 group1, left1 = _lottery_kill(table2, draw() * kill2, army1, policy, group1, left1)
         else:
-            if pool1 > 0.0:
-                _, group2, left2 = _spend(pool1, army2, policy, group2, left2, draw)
-            if pool2 > 0.0:
-                _, group1, left1 = _spend(pool2, army1, policy, group1, left1, draw)
+            _, group2, left2 = _spend(pool1, army2, policy, group2, left2, draw)
+            _, group1, left1 = _spend(pool2, army1, policy, group1, left1, draw)
         if not left1 or not left2:
             winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)

@@ -144,6 +144,7 @@ def _add_mass(masses: dict, key, n: int, d: int, u: frozenset[int],
     old = masses.get(key)
     if old is not None:
         n0, d0, u0 = old
+        # skip rescaling an equal d or u: without the tests, exact runs read 0-6% slower
         if d0 != d:
             g = gcd(d0, d)
             n0 *= d // g
@@ -201,15 +202,14 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
             self_weight = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
             if self_weight == joint:
                 raise StalemateError("neither army can make progress from this state")
-            if self_weight:  # divide by 1 - q = rest / joint = (rest / g) / (joint / g)
-                rest = joint - self_weight
-                g = gcd(rest, joint)
-                d *= g
-                if rest != g:
-                    u = u | {len(factors)}
-                    factors.append(rest // g)
-            else:
-                d *= joint
+            # divide by 1 - q = rest / joint = (rest / g) / (joint / g); with no
+            # self-loop, rest == g == joint and no factor is kept
+            rest = joint - self_weight
+            g = gcd(rest, joint)
+            d *= g
+            if rest != g:
+                u = u | {len(factors)}
+                factors.append(rest // g)
 
             for n1, w1 in dist1.items():
                 num1 = n * w1

@@ -27,8 +27,8 @@ SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 
 
 def count_problem(name: str, value: object) -> str | None:
-    """Why ``value`` is no count of trials or jobs, or None if it is one: an
-    int, not a bool, of at least 1. The reason names it ``name``."""
+    """Why ``value`` is no count of trials, jobs or units, or None if it is
+    one: an int, not a bool, of at least 1. The reason names it ``name``."""
     valid = is_integer(value) and value >= 1
     return None if valid else f"{name} must be an int >= 1, got {value!r}"
 
@@ -55,10 +55,8 @@ class MatchupSpec:
             if not army:
                 raise ScenarioError(f"{side} must contain at least one unit entry")
             for unit_name, count in army:
-                if not is_integer(count):
-                    raise ScenarioError(f"{side}: count for {unit_name!r} must be an integer")
-                if count < 1:
-                    raise ScenarioError(f"{side}: count for {unit_name!r} must be >= 1")
+                if reason := count_problem(f"{side} count for {unit_name!r}", count):
+                    raise ScenarioError(reason)
         if self.pairing is not None and self.pairing not in PAIRINGS:
             raise ScenarioError(f"unknown pairing: {self.pairing!r}")
         if self.round is not None and self.round not in ROUNDS:

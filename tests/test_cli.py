@@ -66,10 +66,10 @@ def after_name(message, name):
 
 
 class TestOneRulePerSetting:
-    """A bad trial count, job count or seed gets the same words from every
-    front end: a flag (exit 2), a scenario file (exit 1) and the library
-    (ValueError), each naming the setting its own way. argparse rejects a
-    non-int flag itself, so flags get only the int values."""
+    """A bad trial count, job count, army count or seed gets the same words
+    from every front end: a flag (exit 2), a scenario file (exit 1) and the
+    library (ValueError), each naming the setting its own way. argparse
+    rejects a non-int flag itself, so flags get only the int values."""
 
     def flag_reasons(self, capsys, flags, value):
         reasons = []
@@ -88,6 +88,14 @@ class TestOneRulePerSetting:
         assert_one_error_line(result, f"error: {key} ")
         return after_name(result[2].strip().removeprefix("error: "), key)
 
+    def army_reason(self, capsys, tmp_path, value):
+        path = tmp_path / "battle.yaml"
+        path.write_text(SCENARIO.replace("marine: 12", f"marine: {str(value).lower()}"))
+        result = run_cli(capsys, "run", "--scenario", str(path))
+        name = "army2 count for 'marine'"
+        assert_one_error_line(result, f"error: {name} ")
+        return after_name(result[2].strip().removeprefix("error: "), name)
+
     @staticmethod
     def library_reason(name, call):
         with pytest.raises(ValueError) as info:
@@ -100,6 +108,7 @@ class TestOneRulePerSetting:
         spec = ExperimentSpec(matchup, ModelId.APX1, trials=1)
         reasons = [
             self.file_reason(capsys, tmp_path, "trials", 50, value),
+            self.army_reason(capsys, tmp_path, value),
             self.library_reason("trials", lambda: ExperimentSpec(matchup, ModelId.APX1, value)),
             self.library_reason("n_jobs", lambda: run_experiments([spec], default_catalog(),
                                                                   n_jobs=value)),
@@ -176,6 +185,34 @@ class TestListCommands:
         monkeypatch.setenv(DEFAULT_CATALOG_ENV, str(path))
         assert_one_error_line(run_cli(capsys, "list-units"),
                               "error: catalog is not UTF-8 text: ")
+
+
+class TestMalformedInput:
+    """A malformed scenario or catalog is a data error: exit 1 and one
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("- army1: {zealot: 1}\n  army2: {marine: 1}\n", "scenario document must be a mapping"),
+        ("army1: [zealot, stalker]\narmy2: {marine: 1}\n",
+         "army1 must be a non-empty mapping of unit name -> count"),
+    ], ids=["list-document", "army1-list"])
+    def test_bad_scenario(self, capsys, tmp_path, text, message):
+        path = tmp_path / "battle.yaml"
+        path.write_text(text)
+        assert_one_error_line(run_cli(capsys, "run", "--scenario", str(path)),
+                              f"error: {message}")
+
+    @pytest.mark.parametrize("text, message", [
+        (TINY_CATALOG + "- zealot\n", "unit record must be a mapping, got str"),
+        (TINY_CATALOG.replace("[light, biological]", "light"), "zealot: attributes must be a list"),
+        (TINY_CATALOG.replace("dps: 13.33", "dps: -1"), "zealot: DPS values must be non-negative"),
+        (TINY_CATALOG.replace("name: zealot", 'name: ""'), "unit name must be non-empty"),
+    ], ids=["string-record", "string-attributes", "negative-dps", "empty-name"])
+    def test_bad_catalog(self, capsys, tmp_path, text, message):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(text)
+        assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
+                              f"error: {message}")
 
 
 class TestRun:

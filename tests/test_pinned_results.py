@@ -9,19 +9,35 @@ each 64-trial chunk and lottery states came to skip their idle rounds. The
 exact-distribution digests were computed with the recursive oracle that
 preceded forward mass propagation, and hold unedited under the unreduced
 integer arithmetic that replaced step-by-step Fractions. The big-fraction
-digests were taken with step-by-step Fractions, before that change.
+digests were taken with step-by-step Fractions, before that change. The
+zero-pool digests were taken while the trial loop still skipped spending a
+pool of 0, which draws nothing either way.
 """
 
 import hashlib
 
-from sc2combat import EnumerationLimits, ExperimentSpec, MatchupSpec, ModelId, builtin_matchups
-from sc2combat import enumerate_compositions, find_matchup, run_experiment, sample_outcomes
+from sc2combat import EnumerationLimits, ExperimentSpec, MatchupSpec, ModelId, Race, UnitCatalog
+from sc2combat import builtin_matchups, enumerate_compositions, find_matchup, run_experiment
+from sc2combat import sample_outcomes
 
 from conftest import make_unit
 
 GRID_DIGEST = "88571bcb522041d50f3d27a565cc783a673c8f7db73f02f51b9601333bcfeb44"
 MIXED_4V4_DIGEST = "20b2a8dc233f6233e30e349ee16177d49a7967770fd58fc7cf7e4d40433aff10"
 LONG_RUN_DIGEST = "d81e152ed2af9fbde599ed0ea89ea548ea34a27c28fb4d805e009cac3f4ed82f"
+
+# Battles with rounds whose pool is 0, which must spend nothing and draw
+# nothing: the opening round of a melee-only army under APX2-APX4, on one
+# side and on both, and every round of a side with no DPS. One digest covers
+# the results and sampled outcomes of all four models.
+ZERO_POOL_DIGESTS = {
+    "melee-only army1":
+        "682c012b5bf928b181413b4a4d6f1c7431a314153956c073365f1105d39adc9a",
+    "melee-only armies":
+        "4f814f36e25c1c385e6c5a5ab72b7a04be2719154729e35a1ea1cec357ad728f",
+    "zero-DPS army1":
+        "752bd1b06c00fca9d608b7530578c8b63e37fbf48e0c52b2ce1c988e86bd06e1",
+}
 
 # Mixed battles of melee, ranged and bonus units; one digest covers the
 # sorted outcomes of all four models.
@@ -86,6 +102,25 @@ def test_sampled_outcomes_are_pinned(catalog):
     counts = sample_outcomes(spec, catalog)
     assert sum(counts.values()) == 500
     assert sha256(repr(sorted(counts.items(), key=repr))) == MIXED_4V4_DIGEST
+
+
+def test_zero_pool_rounds_are_pinned(catalog):
+    """300 trials at seed 5 under each model; the decoy has health 10 and no DPS."""
+    decoy = make_unit("decoy", health=10, dps=0.0, race=Race.PROTOSS)
+    with_decoy = UnitCatalog([*catalog, decoy])
+    battles = {
+        "melee-only army1": ((("zealot", 2), ("zergling", 3)), (("marine", 3), ("marauder", 2))),
+        "melee-only armies": ((("zealot", 2),), (("zergling", 4), ("ultralisk", 1))),
+        "zero-DPS army1": ((("decoy", 3),), (("zergling", 2), ("marine", 1))),
+    }
+    for name, (army1, army2) in battles.items():
+        lines = []
+        for model in ModelId:
+            spec = ExperimentSpec(MatchupSpec(army1=army1, army2=army2), model, 300, 5)
+            counts = sample_outcomes(spec, with_decoy)
+            lines += [repr(run_experiment(spec, with_decoy)),
+                      repr(sorted(counts.items(), key=repr))]
+        assert sha256("\n".join(lines)) == ZERO_POOL_DIGESTS[name], name
 
 
 def exact_digest(army1, army2, catalog) -> str:

@@ -19,6 +19,7 @@ from sc2combat import (
 from sc2combat.report import (
     ascii_bar_chart,
     comparison_rows,
+    render,
     render_csv,
     render_json,
     render_table,
@@ -99,6 +100,11 @@ class TestMaeByModel:
         with pytest.raises(ScenarioError):
             mae_by_model(rows)
 
+    def test_model_row_without_test_row_is_incomplete(self):
+        rows = [ref_row(1, "Test", "PvT", 0.5), ref_row(1, "APX1", "TvZ", 0.5)]
+        with pytest.raises(ScenarioError, match="model rows without a matching Test row"):
+            mae_by_model(rows)
+
     def test_simulated_results_override_model_rows(self):
         catalog = UnitCatalog([make_unit("a", health=10, dps=10.0, race=Race.PROTOSS),
                                make_unit("b", health=10, dps=10.0, race=Race.TERRAN)])
@@ -115,18 +121,33 @@ class TestMaeByModel:
 
 
 class TestComparisonRows:
+    CATALOG = UnitCatalog([make_unit("a", health=10, dps=10.0, race=Race.PROTOSS),
+                           make_unit("b", health=10, dps=5.0, race=Race.TERRAN)])
+
+    def result(self, round=1, pairing="PvT", model=ModelId.APX1):
+        matchup = MatchupSpec(army1=(("a", 1),), army2=(("b", 1),),
+                              round=round, pairing=pairing)
+        spec = ExperimentSpec(matchup=matchup, model=model,
+                              trials=100, master_seed=0)
+        return run_experiment(spec, self.CATALOG)
+
     def test_deltas_recomputed(self):
         rows = [ref_row(1, "Test", "PvT", 0.92), ref_row(1, "APX1", "PvT", 0.99)]
-        catalog = UnitCatalog([make_unit("a", health=10, dps=10.0, race=Race.PROTOSS),
-                               make_unit("b", health=10, dps=5.0, race=Race.TERRAN)])
-        matchup = MatchupSpec(army1=(("a", 1),), army2=(("b", 1),),
-                              round=1, pairing="PvT")
-        spec = ExperimentSpec(matchup=matchup, model=ModelId.APX1,
-                              trials=100, master_seed=0)
-        result = run_experiment(spec, catalog)
-        row = comparison_rows(rows, [result])[0]
+        row = comparison_rows(rows, [self.result()])[0]
         assert row.delta_vs_test == abs(row.simulated_win1 - 0.92)
         assert row.delta_vs_reference == abs(row.simulated_win1 - 0.99)
+
+    def test_custom_matchup_result_rejected(self):
+        rows = [ref_row(1, "Test", "PvT", 0.92), ref_row(1, "APX1", "PvT", 0.99)]
+        custom = self.result(round=None, pairing=None)
+        for compare in (comparison_rows, mae_by_model):
+            with pytest.raises(ScenarioError, match="must come from builtin matchups"):
+                compare(rows, [custom])
+
+    def test_missing_model_row_rejected(self):
+        rows = [ref_row(1, "Test", "PvT", 0.92), ref_row(1, "APX1", "PvT", 0.99)]
+        with pytest.raises(ScenarioError, match="reference rows missing for"):
+            comparison_rows(rows, [self.result(model=ModelId.APX2)])
 
 
 class TestRendering:
@@ -150,6 +171,10 @@ class TestRendering:
         text = render_json(self.COLUMNS, self.ROWS)
         assert json.loads(text) == [{"name": "alpha", "value": 1.25},
                                     {"name": "beta", "value": None}]
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format: 'xml'"):
+            render("xml", self.COLUMNS, self.ROWS)
 
     def test_bar_chart_has_all_models(self):
         summary = mae_by_model(reference_table())

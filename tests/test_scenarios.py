@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -64,6 +65,13 @@ class TestBuiltinMatchups:
         with pytest.raises(ScenarioError):
             find_matchup(1, "ZvZ")
 
+    def test_missing_matchup(self):
+        with pytest.raises(ScenarioError, match="no builtin matchup for round 5 PvT"):
+            find_matchup(5, "pvt")
+
+    def test_label_names_round_and_pairing(self):
+        assert find_matchup(1, "pvt").label == "round 1 PvT"
+
 
 class TestReferenceTable:
     def test_sixty_unique_rows(self):
@@ -93,6 +101,19 @@ class TestReferenceTable:
     def test_win_fraction_outside_unit_interval_or_bad_sum_rejected(self, win1, win2):
         with pytest.raises(ScenarioError, match=r"must lie in \[0, 1\] and sum to 1"):
             ReferenceRow(1, "Test", "PvT", (0,) * 4, (0,) * 4, win1, win2)
+
+    @pytest.mark.parametrize("type, match, message", [
+        ("APX5", "PvT", "unknown row type: 'APX5'"),
+        ("Test", "PvP", "bad row id: round 1 PvP"),
+    ])
+    def test_bad_row_id_rejected(self, type, match, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            ReferenceRow(1, type, match, (0,) * 4, (0,) * 4, 0.5, 0.5)
+
+    @pytest.mark.parametrize("round, type", [(5, "Test"), (1, "APX5")])
+    def test_missing_row(self, round, type):
+        with pytest.raises(ScenarioError, match=f"no reference row for round {round} {type} PvT"):
+            find_reference_row(round, type, "pvt")
 
 
 class TestBundledDataCache:
@@ -140,8 +161,17 @@ class TestMatchupValidation:
     def test_non_integer_count_rejected(self, count):
         # a library matchup gets the rule a YAML one does: 2.5 marines once
         # ran and left -90 survivors, and True ran as one unit
-        with pytest.raises(ScenarioError, match="army1: count for 'marine' must be an integer"):
+        reason = f"army1 count for 'marine' must be an int >= 1, got {count!r}"
+        with pytest.raises(ScenarioError, match=re.escape(reason)):
             MatchupSpec(army1=(("marine", count),), army2=(("zergling", 3),))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"round": 1, "pairing": "PvP"}, "unknown pairing: 'PvP'"),
+        ({"round": 5, "pairing": "PvT"}, "round must be 1..4, got 5"),
+    ])
+    def test_bad_builtin_id_rejected(self, fields, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            MatchupSpec(army1=(("zealot", 1),), army2=(("marine", 1),), **fields)
 
     def test_race_mismatch_rejected(self, catalog):
         bad = MatchupSpec(army1=(("marine", 1),), army2=(("zealot", 1),),
