@@ -169,13 +169,6 @@ class ArmyState:
         self.bonus_targets(defender)
         return self._pools.setdefault(model, {})
 
-    def total_units(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def defeated(self) -> bool:
-        return self.total_units() == 0
-
     def survivors(self) -> tuple[int, ...]:
         return tuple(self.counts)
 

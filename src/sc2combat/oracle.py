@@ -144,18 +144,15 @@ def _add_mass(masses: dict, key, n: int, d: int, u: frozenset[int],
     old = masses.get(key)
     if old is not None:
         n0, d0, u0 = old
-        # skip rescaling an equal d or u: without the tests, exact runs read 0-6% slower
-        if d0 != d:
-            g = gcd(d0, d)
-            n0 *= d // g
-            n *= d0 // g
-            d *= d0 // g
-        if u0 != u:
-            for k in u - u0:
-                n0 *= factors[k]
-            for k in u0 - u:
-                n *= factors[k]
-            u = u0 | u
+        g = gcd(d0, d)
+        n0 *= d // g
+        n *= d0 // g
+        d *= d0 // g
+        for k in u - u0:
+            n0 *= factors[k]
+        for k in u0 - u:
+            n *= factors[k]
+        u = u0 | u
         n += n0
     masses[key] = (n, d, u)
 

@@ -13,6 +13,8 @@ from .errors import ScenarioError
 from .montecarlo import AggregateResult
 from .scenarios import PAIRINGS, ReferenceRow
 
+_BAR_WIDTH = 50  # characters in ascii_bar_chart's longest bar
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -109,13 +111,13 @@ def comparison_rows(reference: Iterable[ReferenceRow],
     return rows
 
 
-def ascii_bar_chart(summary: ModelErrorSummary, width: int = 50) -> str:
+def ascii_bar_chart(summary: ModelErrorSummary) -> str:
     """Plain-text bars of per-model MAE, one line per model."""
     peak = max(summary.errors.values()) or 1.0
     lines = []
     for model in ModelId:
         value = summary.errors[model]
-        bar = "#" * max(1, round(value / peak * width)) if value > 0 else ""
+        bar = "#" * max(1, round(value / peak * _BAR_WIDTH)) if value > 0 else ""
         lines.append(f"{model.name}  {value:.4f}  {bar}")
     return "\n".join(lines)
 

@@ -151,10 +151,10 @@ def prop_trial_survivors_bounded(comp1, comp2, model, seed):
        policy=st.sampled_from(TargetPolicy), seed=st.integers(0, 2**32))
 def prop_pool_kills_bounded(comp, pool, policy, seed):
     defender = ArmyState(comp)
-    before = defender.total_units()
+    before = sum(defender.counts)
     min_health = min(defender.eff_health)
     apply_pool(float(pool), defender, policy, random.Random(seed))
-    kills = before - defender.total_units()
+    kills = before - sum(defender.counts)
     assert kills <= min(before, math.ceil(pool / min_health))
 
 

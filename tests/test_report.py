@@ -8,6 +8,7 @@ import pytest
 
 from sc2combat import (
     ExperimentSpec,
+    ModelErrorSummary,
     ModelId,
     Race,
     ScenarioError,
@@ -52,6 +53,11 @@ class TestMaeByModel:
     def test_apx3_beats_apx4(self):
         summary = mae_by_model(reference_table())
         assert summary.errors[ModelId.APX3] < summary.errors[ModelId.APX4]
+
+    @pytest.mark.parametrize("value", [1.5, -0.25])
+    def test_error_outside_unit_interval_rejected(self, value):
+        with pytest.raises(AssertionError, match=rf"APX1 MAE {value} outside \[0, 1\]"):
+            ModelErrorSummary({ModelId.APX1: value})
 
     @staticmethod
     def sign_flip_p(model_a, model_b):

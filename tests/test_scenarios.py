@@ -1,8 +1,10 @@
+import copy
 import io
 import re
 
 import pytest
 
+import sc2combat.scenarios as scenarios
 import sc2combat.units as units
 from sc2combat import (
     ModelId,
@@ -146,6 +148,38 @@ class TestBundledDataCache:
         rows = reference_table()
         rows.pop()
         assert len(reference_table()) == 60
+
+
+class TestBundledDataChecks:
+    """Each count check of the bundled matchups and reference rows, fed a
+    copy of the bundled document with one fault in it."""
+
+    @pytest.fixture
+    def bundled(self, monkeypatch):
+        """Install ``edit``, applied to a deep copy of every bundled
+        document that ``scenarios`` reads."""
+        def install(edit):
+            monkeypatch.setattr(scenarios, "bundled_yaml",
+                                lambda name: edit(copy.deepcopy(units.bundled_yaml(name))))
+        return install
+
+    def test_dropped_matchup_rejected(self, bundled):
+        bundled(lambda doc: doc[:-1])
+        with pytest.raises(ScenarioError, match="exactly the 12 benchmark matchups"):
+            builtin_matchups()
+
+    def test_matchup_moved_to_another_round_rejected(self, bundled):
+        def move(doc):
+            doc[0]["round"] = 2 if doc[0]["round"] == 1 else 1
+            return doc
+        bundled(move)
+        with pytest.raises(ScenarioError, match="exactly the 12 benchmark matchups"):
+            builtin_matchups()
+
+    def test_duplicated_reference_row_rejected(self, bundled):
+        bundled(lambda doc: doc[:-1] + doc[:1])
+        with pytest.raises(ScenarioError, match="exactly 60 distinct rows"):
+            reference_table()
 
 
 class TestMatchupValidation:
