@@ -220,14 +220,19 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
     return total
 
 
-def _spend(pool: float, defender: ArmyState, policy: TargetPolicy,
-           group: tuple[int, ...], left: int,
-           random: Callable[[], float]) -> tuple[float, tuple[int, ...], int]:
-    """Spend ``pool`` on ``defender``, ``left`` of whose units are in the
-    eligible classes ``group``; returns the damage left over and the new
-    ``(group, left)``. The spending rule of ``apply_pool`` and ``run_trial``.
-    A pool of 0 draws nothing. A ``left`` of 0 is refreshed
-    (``ArmyState.eligible``), so it stays 0 only when no unit is alive."""
+def apply_pool(pool: float, defender: ArmyState, policy: TargetPolicy,
+               group: tuple[int, ...], left: int,
+               random: Callable[[], float]) -> tuple[float, tuple[int, ...], int]:
+    """Spend a damage pool on the defender, killing units one at a time.
+
+    ``group`` and ``left`` are the defender's eligible classes and the units
+    they hold (``ArmyState.eligible``), carried from the last call; a caller
+    starting from counts passes ``defender.eligible(policy,
+    defender.counts)``. Each target is one unit drawn uniformly from them by
+    ``random()`` in [0, 1), and killed units cannot be re-selected. Returns
+    the damage left over, discarded once the defender is wiped out, and the
+    new ``(group, left)``. A pool of 0 draws nothing. A ``left`` of 0 is
+    refreshed, so it stays 0 only when no unit is alive."""
     counts, health = defender.counts, defender.eff_health
     while pool > 0 and left:
         pick = random() * left
@@ -249,20 +254,6 @@ def _spend(pool: float, defender: ArmyState, policy: TargetPolicy,
         if not left:
             group, left = defender.eligible(policy, counts)
     return (pool if pool > 0.0 else 0.0), group, left
-
-
-def apply_pool(pool: float, defender: ArmyState,
-               policy: TargetPolicy, rng: random.Random) -> float:
-    """Spend a damage pool on the defender, killing units one at a time;
-    returns the damage left over.
-
-    Each target is one unit instance drawn uniformly from the eligible
-    classes (``ArmyState.eligible``). Killed units are removed immediately
-    and cannot be re-selected; damage left over when the defender is wiped
-    out is discarded.
-    """
-    group, left = defender.eligible(policy, defender.counts)
-    return _spend(pool, defender, policy, group, left, rng.random)[0]
 
 
 def _kill_odds(pool: float, defender: ArmyState, group: tuple[int, ...],
@@ -308,7 +299,7 @@ def _lottery_kill(table: tuple[tuple[float, int], ...], pick: float, defender: A
                   policy: TargetPolicy, group: tuple[int, ...],
                   left: int) -> tuple[tuple[int, ...], int]:
     """Kill the unit of the first class whose cumulative odds in ``table``
-    exceed ``pick``; returns the new ``(group, left)``, refreshed as in ``_spend``."""
+    exceed ``pick``; returns the new ``(group, left)``, refreshed as in ``apply_pool``."""
     for odds, i in table:
         if pick < odds:
             break
@@ -326,7 +317,7 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     """Simulate one battle to completion; mutates both army states.
 
     Each round computes both pools from the start-of-round state, army1's
-    pool is spent on army2 and army2's on army1 (``_spend``), so both may
+    pool is spent on army2 and army2's on army1 (``apply_pool``), so both may
     end the round defeated. Pools come from army1's round-pool cache (see
     the module docstring); a side is wiped out when its eligible count is 0.
 
@@ -384,8 +375,8 @@ def run_trial(army1: ArmyState, army2: ArmyState,
             if side2:
                 group1, left1 = _lottery_kill(table2, draw() * kill2, army1, policy, group1, left1)
         else:
-            _, group2, left2 = _spend(pool1, army2, policy, group2, left2, draw)
-            _, group1, left1 = _spend(pool2, army1, policy, group1, left1, draw)
+            _, group2, left2 = apply_pool(pool1, army2, policy, group2, left2, draw)
+            _, group1, left1 = apply_pool(pool2, army1, policy, group1, left1, draw)
         if not left1 or not left2:
             winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)

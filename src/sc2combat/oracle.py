@@ -5,7 +5,7 @@ engine's rules core: each side is an engine ArmyState, whose effective stats
 are built once per enumeration and whose ``eligible`` names the classes a
 target is drawn from, and each round's damage pools come from
 engine.compute_pool. What it does on its own is spend those pools: where
-the engine's trial loop draws targets and kill rolls (engine._spend, or one
+the engine's trial loop draws targets and kill rolls (engine.apply_pool, or one
 draw per played round in a lottery state), the enumeration works out every
 target selection and probabilistic kill exactly, over nodes (pool left,
 counts left), one level per sure kill. Branches that meet at a node merge,

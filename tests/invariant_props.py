@@ -153,7 +153,8 @@ def prop_pool_kills_bounded(comp, pool, policy, seed):
     defender = ArmyState(comp)
     before = sum(defender.counts)
     min_health = min(defender.eff_health)
-    apply_pool(float(pool), defender, policy, random.Random(seed))
+    group, left = defender.eligible(policy, defender.counts)
+    apply_pool(float(pool), defender, policy, group, left, random.Random(seed).random)
     kills = before - sum(defender.counts)
     assert kills <= min(before, math.ceil(pool / min_health))
 

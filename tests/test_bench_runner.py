@@ -60,3 +60,6 @@ def test_traced_run_ends_with_finite_per_layer_metrics():
     assert set(result["metrics"]) == PER_LAYER
     for metric in result["metrics"].values():
         assert math.isfinite(metric["value"])
+    # the traced engine functions are the ones the battle path calls
+    for name in ("engine.trials", "engine.compute_pool_calls", "engine.apply_pool_calls"):
+        assert result["metrics"][name]["value"] > 0, name

@@ -195,10 +195,16 @@ class TestBonusPool:
             == 0.6000000000000001
 
 
+def spend_from_counts(pool, defender, policy, draw):
+    """``apply_pool`` from the defender's counts, with no group carried in."""
+    return apply_pool(pool, defender, policy, *defender.eligible(policy, defender.counts), draw)
+
+
 class TestApplyPool:
     def test_exact_lethal_kill_is_certain(self):
         defender = army((make_unit("d", health=20), 1))
-        pool = apply_pool(20.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(1))
+        pool, _, _ = spend_from_counts(20.0, defender, TargetPolicy.UNIFORM_RANDOM,
+                                       random.Random(1).random)
         assert defender.counts == [0]
         assert pool == 0.0
 
@@ -207,8 +213,7 @@ class TestApplyPool:
         n = 10_000
         for i in range(n):
             defender = army((make_unit("d", health=10), 1))
-            apply_pool(5.0, defender, TargetPolicy.UNIFORM_RANDOM,
-                       random.Random(i))
+            spend_from_counts(5.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(i).random)
             kills += defender.counts[0] == 0
         assert abs(kills / n - 0.5) <= three_sigma(0.5, n)
 
@@ -217,13 +222,12 @@ class TestApplyPool:
         shooter = make_unit("r", health=10, ranged=True)
         for seed in range(200):
             defender = army((melee, 1), (shooter, 1))
-            apply_pool(10.0, defender, TargetPolicy.MELEE_FIRST,
-                       random.Random(seed))
+            spend_from_counts(10.0, defender, TargetPolicy.MELEE_FIRST, random.Random(seed).random)
             assert defender.counts == [0, 1]
 
     def test_overkill_is_discarded(self):
         defender = army((make_unit("d", health=5), 2))
-        apply_pool(1000.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0))
+        spend_from_counts(1000.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0).random)
         assert defender.counts == [0]
 
     @pytest.mark.parametrize("policy, comp, expected", [
@@ -231,21 +235,19 @@ class TestApplyPool:
         (TargetPolicy.MELEE_FIRST, ((False, 1), (False, 0), (True, 1)), [0, 0, 1]),
     ])
     def test_pick_rounding_falls_back_to_last_eligible_class(self, policy, comp, expected):
-        class TopOfRange:
+        def top_of_range():
             # random() never returns 1.0; a pick that rounds up to the total
             # takes the same path
-            def random(self):
-                return 1.0
+            return 1.0
 
         defender = army(*((make_unit(f"u{i}", health=10, ranged=r), c)
                           for i, (r, c) in enumerate(comp)))
-        apply_pool(10.0, defender, policy, TopOfRange())
+        spend_from_counts(10.0, defender, policy, top_of_range)
         assert defender.counts == expected
 
     def test_zero_pool_is_noop(self):
         defender = army((make_unit("d"), 3))
-        apply_pool(0.0, defender, TargetPolicy.UNIFORM_RANDOM,
-                   random.Random(0))
+        spend_from_counts(0.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0).random)
         assert defender.counts == [3]
 
 
@@ -281,7 +283,7 @@ class TestOneRoundBattles:
 
 
 class TestEligibleCount:
-    """After ``_spend`` and ``_lottery_kill``, ``(group, left)`` is what
+    """After ``apply_pool`` and ``_lottery_kill``, ``(group, left)`` is what
     ``ArmyState.eligible`` gives for the defender's counts, so ``left`` is 0
     exactly when the defender has no unit alive: the one fact ``run_trial``
     reads to end a battle and name its winner."""
@@ -309,7 +311,7 @@ class TestEligibleCount:
     @pytest.mark.parametrize("pool", [4.0, 12.0, 27.0, 100.0])
     def test_spend(self, policy, pool):
         def spend(defender, group, left, rng):
-            return engine._spend(pool, defender, policy, group, left, rng.random)[1:]
+            return engine.apply_pool(pool, defender, policy, group, left, rng.random)[1:]
 
         switches = self.wipe_out(policy, spend)
         # a pool of 100 kills every army here in one call
@@ -364,8 +366,9 @@ class TestLotteryRounds:
         # round decides with chance 1 - 0.75 * 0.8 = 0.4: win1 0.25 * 0.8 / 0.4,
         # draw 0.25 * 0.2 / 0.4, win2 0.75 * 0.2 / 0.4, and 1 / 0.4 rounds on average
         spends = []
-        original = engine._spend
-        monkeypatch.setattr(engine, "_spend", lambda *args: spends.append(1) or original(*args))
+        original = engine.apply_pool
+        monkeypatch.setattr(engine, "apply_pool",
+                            lambda *args: spends.append(1) or original(*args))
         a = army((make_unit("a", health=50, dps=25.0, ranged=True), 1))
         b = army((make_unit("b", health=100, dps=10.0, ranged=True), 1))
         n = 20_000

@@ -212,6 +212,24 @@ class TestRunExperiment:
         # one pair of states serves the whole block
         assert len({(id(a1), id(a2)) for a1, a2, _, _ in starts}) == 1
 
+    def test_every_trial_runs_through_the_module_global(self, monkeypatch):
+        # the seam a wrapper on montecarlo.run_trial relies on: it sees every
+        # trial of every block, and a wrapper that changes nothing changes
+        # no result
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX4, trials=130, master_seed=3)
+        expected = run_experiment(spec, tiny_catalog())
+        calls = []
+        original = montecarlo.run_trial
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "run_trial", counting)
+        assert run_experiment(spec, tiny_catalog()) == expected
+        assert len(calls) == 130
+
     def test_full_pool_cache_changes_no_result(self, catalog, monkeypatch):
         spec = ExperimentSpec(find_matchup(2, "PvZ"), ModelId.APX4, 200, 5)
         uncapped = run_experiment(spec, catalog)
