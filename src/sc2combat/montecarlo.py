@@ -184,8 +184,8 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     ``n_jobs`` > 1 splits each spec's trials into at most ``n_jobs`` blocks
     of whole ``CHUNK``-trial chunks (the last block may end mid-chunk) and
     runs the blocks of all specs on one pool of worker processes, no more of
-    them than there are blocks or CPUs; where that is one, they run serially,
-    with no pool. A spec's result is the sum of its blocks' outcome counts,
+    them than there are blocks or CPUs this process may use; where that is
+    one, they run serially, with no pool. A spec's result is the sum of its blocks' outcome counts,
     so it is identical to a serial run for any ``n_jobs``.
     """
     if reason := count_problem("n_jobs", n_jobs):
@@ -199,7 +199,10 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]
     totals: list[Counter[Optional[Outcome]]] = [Counter() for _ in specs]
-    workers = min(n_jobs, len(blocks), os.cpu_count() or 1)
+    # the CPUs this process may run on, which a taskset or cpuset pin narrows
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(n_jobs, len(blocks), cpus)
     if workers <= 1:
         for k, args in blocks:
             totals[k].update(_count_outcomes(*args))

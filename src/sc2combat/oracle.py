@@ -51,13 +51,16 @@ are added the same way into one total, which must equal 1 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import TYPE_CHECKING
 
 from .engine import ArmyState, ModelId, Outcome, TargetPolicy, Winner, compute_pool
 from .errors import EnumerationLimitError, StalemateError
 from .scenarios import MatchupSpec, resolve_matchup
 from .units import UnitCatalog, UnitClass
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # An unreduced probability (n, d, u): n / (d * prod(factors[k] for k in u))
 _Mass = tuple[int, int, frozenset[int]]
@@ -85,6 +88,8 @@ class ExactDistribution:
     outcomes: dict[Outcome, Fraction]
 
     def winner_probability(self, winner: Winner) -> Fraction:
+        # imported here: it loads decimal, ~3 ms that only exact runs need pay
+        from fractions import Fraction
         return sum(
             (p for (w, _, _), p in self.outcomes.items() if w is winner),
             Fraction(0),
@@ -230,6 +235,8 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
     whole = d * prod(factors[k] for k in u)
     if n != whole:
         raise AssertionError(f"outcome probabilities sum to {n / whole}, not 1")
+    # imported here: it loads decimal, ~3 ms that only exact runs need pay
+    from fractions import Fraction
     return ExactDistribution({outcome: Fraction(n, d * prod(factors[k] for k in u))
                               for outcome, (n, d, u) in result.items()})
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -137,6 +135,7 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> st
 
 
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    import csv  # imported here: ~1 ms that only CSV output need pay
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
@@ -146,6 +145,7 @@ def render_csv(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 
 def render_json(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    import json  # imported here: ~2.5 ms that only JSON output need pay
     records = [dict(zip(columns, row)) for row in rows]
     return json.dumps(records, indent=2)
 

@@ -430,15 +430,30 @@ class TestWorkerPool:
         assert run_cli(capsys, *argv, "--jobs", jobs) == serial
         assert len(built) == pools
 
+    def test_workers_capped_at_cpus_this_process_may_use(self, capsys, monkeypatch):
+        argv = ("reproduce", "--round", "1", "--trials", "6")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        # pinned to one CPU, as by taskset, whatever the machine has: building
+        # a pool would now raise
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+
     def test_cli_import_loads_no_pool_machinery(self):
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys, sc2combat.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+                "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json') "
+                "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=60)
-        assert proc.stdout.strip() == "[]"
+        pools, deferred = proc.stdout.splitlines()
+        assert pools == "[]"
+        # the exact oracle and the CSV/JSON renderers import these when
+        # called, so a command that skips them never loads them
+        assert deferred == "[]"
 
     def test_commands_never_load_openssl(self):
         # a fresh interpreter, since pytest itself imports hashlib: the chunk

@@ -315,6 +315,8 @@ class TestWorkerPool:
         (3, None, 1),  # CPU count unknown: one worker, so no pool
     ])
     def test_workers_capped(self, monkeypatch, started, n_jobs, cpus, workers):
+        # the fallback where os has no sched_getaffinity, as on macOS or Windows
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         specs = [ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
                                 model=model, trials=15 * montecarlo.CHUNK, master_seed=8)
@@ -323,8 +325,20 @@ class TestWorkerPool:
         assert run_experiments(specs, tiny_catalog(), n_jobs=n_jobs) == serial
         assert started == ([workers] if workers > 1 else [])
 
+    def test_workers_capped_by_affinity(self, monkeypatch, started):
+        # a taskset or cpuset pin leaves 3 of the machine's 64 CPUs usable
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX4, trials=15 * montecarlo.CHUNK, master_seed=8)
+        serial = run_experiment(spec, tiny_catalog())
+        assert run_experiment(spec, tiny_catalog(), n_jobs=5000) == serial
+        assert started == [3]
+
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
     def test_jobs_change_no_result(self, monkeypatch, started, trials):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
         spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
                               model=ModelId.APX4, trials=trials, master_seed=21)
