@@ -24,6 +24,7 @@ from .montecarlo import AggregateResult, ExperimentSpec, run_experiment, run_exp
 from .scenarios import (PAIRINGS, ROUNDS, builtin_matchups, count_problem, load_scenario,
                         reference_table, seed_problem)
 from .units import (
+    DEFAULT_CATALOG_ENV,
     UnitCatalog,
     default_catalog,
     effective_bonus_dps,
@@ -47,7 +48,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> None:
     parser.add_argument("--catalog", metavar="PATH",
                         help="unit catalog file (default: bundled catalog, "
-                             "or $SC2COMBAT_CATALOG if set)")
+                             f"or ${DEFAULT_CATALOG_ENV} if set)")
     _add_output(parser)
     if simulation:
         # no argparse defaults: None marks a flag not given, which _first_given

@@ -117,15 +117,15 @@ class AggregateResult:
 
     @property
     def mean_survivors1(self) -> tuple[float, ...] | None:
-        if self.win1_count == 0:
-            return None
-        return tuple(s / self.win1_count for s in self.survivors1_sum)
+        return _mean_over_wins(self.survivors1_sum, self.win1_count)
 
     @property
     def mean_survivors2(self) -> tuple[float, ...] | None:
-        if self.win2_count == 0:
-            return None
-        return tuple(s / self.win2_count for s in self.survivors2_sum)
+        return _mean_over_wins(self.survivors2_sum, self.win2_count)
+
+
+def _mean_over_wins(sums: tuple[int, ...], wins: int) -> tuple[float, ...] | None:
+    return tuple(s / wins for s in sums) if wins else None
 
 
 Resolved = Sequence[tuple[UnitClass, int]]  # an army as (unit class, count) pairs

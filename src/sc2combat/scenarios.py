@@ -18,7 +18,7 @@ from .units import CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, is
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
-ROW_TYPES = ("Test", "APX1", "APX2", "APX3", "APX4")
+ROW_TYPES = ("Test", *(model.name for model in ModelId))
 
 _RACE_BY_LETTER = {"P": Race.PROTOSS, "T": Race.TERRAN, "Z": Race.ZERG}
 
@@ -102,22 +102,6 @@ class ReferenceRow:
                                 f"{self.win1} and {self.win2} must lie in [0, 1] and sum to 1")
 
 
-def resolve_composition(catalog: UnitCatalog, army: Composition,
-                        race: Race | None = None) -> list[tuple[UnitClass, int]]:
-    """Look up army entries in the catalog; optionally enforce a single race."""
-    resolved = []
-    for name, count in army:
-        if name not in catalog:
-            raise ScenarioError(f"unknown unit name: {name!r}")
-        unit = catalog[name]
-        if race is not None and unit.race is not race:
-            raise ScenarioError(
-                f"{name!r} is {unit.race.value}, expected {race.value}"
-            )
-        resolved.append((unit, count))
-    return resolved
-
-
 def resolve_matchup(matchup: MatchupSpec, catalog: UnitCatalog
                     ) -> tuple[list[tuple[UnitClass, int]], list[tuple[UnitClass, int]]]:
     """Look up both armies of a matchup in the catalog.
@@ -128,8 +112,17 @@ def resolve_matchup(matchup: MatchupSpec, catalog: UnitCatalog
     if matchup.pairing is not None:
         race1 = _RACE_BY_LETTER[matchup.pairing[0]]
         race2 = _RACE_BY_LETTER[matchup.pairing[2]]
-    return (resolve_composition(catalog, matchup.army1, race1),
-            resolve_composition(catalog, matchup.army2, race2))
+    comp1: list[tuple[UnitClass, int]] = []
+    comp2: list[tuple[UnitClass, int]] = []
+    for army, race, comp in ((matchup.army1, race1, comp1), (matchup.army2, race2, comp2)):
+        for name, count in army:
+            if name not in catalog:
+                raise ScenarioError(f"unknown unit name: {name!r}")
+            unit = catalog[name]
+            if race is not None and unit.race is not race:
+                raise ScenarioError(f"{name!r} is {unit.race.value}, expected {race.value}")
+            comp.append((unit, count))
+    return comp1, comp2
 
 
 def build_armies(matchup: MatchupSpec, catalog: UnitCatalog) -> tuple[ArmyState, ArmyState]:

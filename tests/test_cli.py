@@ -355,6 +355,24 @@ class TestUsageErrors:
         lines = [line for line in err.splitlines() if "error:" in line]
         assert len(lines) == 1 and flag in lines[0]
 
+    def test_module_entry_point_exits_with_run_command_code(self, capsys):
+        # main() and the __main__ guard, which the console script and
+        # ``python -m sc2combat.cli`` run and run_command never does
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def entry_point(*argv):
+            return subprocess.run([sys.executable, "-m", "sc2combat.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        listed = entry_point("list-matchups")
+        assert listed.returncode == 0
+        assert listed.stdout == run_cli(capsys, "list-matchups")[1]
+        rejected = entry_point("reproduce", "--trials", "0")
+        assert rejected.returncode == 2 and rejected.stdout == ""
+        lines = rejected.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestReproduce:
     def test_single_row_structure(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 import sc2combat.scenarios as scenarios
 import sc2combat.units as units
 from sc2combat import (
+    ExperimentSpec,
     ModelId,
     ReferenceRow,
     ScenarioError,
@@ -16,8 +17,9 @@ from sc2combat import (
     find_reference_row,
     load_scenario,
     reference_table,
+    run_experiment,
 )
-from sc2combat.scenarios import MatchupSpec, build_armies
+from sc2combat.scenarios import MatchupSpec, build_armies, resolve_matchup
 
 SCENARIO = """
 army1:
@@ -212,6 +214,22 @@ class TestMatchupValidation:
                           round=1, pairing="PvT")
         with pytest.raises(ScenarioError, match="terran"):
             build_armies(bad, catalog)
+
+    # army1 is valid, so only army2's lookup or race pin can raise
+    @pytest.mark.parametrize("army2, message", [
+        ((("zergling", 4),), "'zergling' is zerg, expected terran"),
+        ((("wraith", 1),), "unknown unit name: 'wraith'"),
+    ])
+    @pytest.mark.parametrize("resolve", [
+        resolve_matchup,
+        lambda matchup, catalog: run_experiment(
+            ExperimentSpec(matchup, ModelId.APX1, trials=1), catalog),
+    ], ids=["resolve_matchup", "run_experiment"])
+    def test_army2_alone_rejected(self, catalog, army2, message, resolve):
+        bad = MatchupSpec(army1=(("zealot", 2),), army2=army2, round=1, pairing="PvT")
+        with pytest.raises(ScenarioError) as excinfo:
+            resolve(bad, catalog)
+        assert str(excinfo.value) == message
 
 
 class TestLoadScenario:

@@ -197,6 +197,12 @@ class TestRoundTrip:
         once = dumps_catalog(catalog)
         assert dumps_catalog(loads_catalog(once)) == once
 
+    def test_catalog_is_unequal_to_a_non_catalog(self, catalog):
+        # NotImplemented lets the other operand answer, and Python falls
+        # back to identity, so a catalog never equals a plain list or dict
+        assert catalog.__eq__(catalog.names()) is NotImplemented
+        assert catalog != catalog.names() and catalog != {}
+
 
 class TestDefaultCatalog:
     def test_fifteen_units(self, catalog):
