@@ -36,7 +36,8 @@ from .units import (
 TABLE1_COLUMNS = ("round", "type", "match",
                   "1-1", "1-2", "1-3", "1-4", "2-1", "2-2", "2-3", "2-4",
                   "1-%", "2-%")
-_DEFAULT_TRIALS, _DEFAULT_SEED = ExperimentSpec.trials, ExperimentSpec.master_seed
+_DEFAULT_TRIALS = ExperimentSpec._field_defaults["trials"]
+_DEFAULT_SEED = ExperimentSpec._field_defaults["master_seed"]
 _MODELS = tuple(model.name.lower() for model in ModelId)
 
 

@@ -21,8 +21,7 @@ import os
 import random
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # ``import hashlib`` loads OpenSSL's libcrypto (about 3.4 MB of resident
 # memory), while ``hashlib.blake2b`` is this same ``_blake2.blake2b``.
@@ -31,7 +30,7 @@ from _blake2 import blake2b
 from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
 from .scenarios import SEED_LIMIT, MatchupSpec, count_problem, resolve_matchup, seed_problem
-from .units import UnitCatalog, UnitClass
+from .units import UnitCatalog, UnitClass, Validated
 
 _SEED_MASK = SEED_LIMIT - 1
 
@@ -51,16 +50,19 @@ def trial_rng(master_seed: int, chunk: int) -> random.Random:
     return random.Random(trial_seed(master_seed, chunk))
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """N trials of one model on one matchup, reproducibly seeded."""
-
+class _ExperimentSpecFields(NamedTuple):
     matchup: MatchupSpec
     model: ModelId
     trials: int = 1000
     master_seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ExperimentSpec(Validated, _ExperimentSpecFields):
+    """N trials of one model on one matchup, reproducibly seeded."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not isinstance(self.matchup, MatchupSpec):
             raise ValueError(f"matchup must be a MatchupSpec, got {self.matchup!r}")
         if not isinstance(self.model, ModelId):
@@ -70,8 +72,7 @@ class ExperimentSpec:
             raise ValueError(reason)
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     """Win/draw tallies and survivor sums over an experiment's trials.
 
     Stalemated trials count as draws and are additionally tallied in

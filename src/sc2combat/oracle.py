@@ -50,9 +50,8 @@ are added the same way into one total, which must equal 1 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import ArmyState, ModelId, Outcome, TargetPolicy, Winner, compute_pool
 from .errors import EnumerationLimitError, StalemateError
@@ -66,8 +65,7 @@ if TYPE_CHECKING:
 _Mass = tuple[int, int, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class EnumerationLimits:
+class EnumerationLimits(NamedTuple):
     """Guard rails for the state-space expansion.
 
     ``max_units_per_side`` caps each army's starting unit count.
@@ -81,8 +79,7 @@ class EnumerationLimits:
     max_states: int = 20_000
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+class ExactDistribution(NamedTuple):
     """Exact probability of every terminal (winner, survivors) outcome."""
 
     outcomes: dict[Outcome, Fraction]

@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import ModelId
 from .errors import ScenarioError
 from .montecarlo import AggregateResult
 from .scenarios import PAIRINGS, ReferenceRow
+from .units import Validated
 
 _BAR_WIDTH = 50  # characters in ascii_bar_chart's longest bar
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One matchup/model: simulated win rate next to the bundled references."""
 
     round: int
@@ -34,13 +33,16 @@ class ComparisonRow:
         return abs(self.simulated_win1 - self.reference_win1)
 
 
-@dataclass(frozen=True)
-class ModelErrorSummary:
-    """Mean absolute win-rate error per model, against the test rows."""
-
+class _ModelErrorSummaryFields(NamedTuple):
     errors: Mapping[ModelId, float]
 
-    def __post_init__(self) -> None:
+
+class ModelErrorSummary(Validated, _ModelErrorSummaryFields):
+    """Mean absolute win-rate error per model, against the test rows."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for model, value in self.errors.items():
             if not 0.0 <= value <= 1.0:
                 raise AssertionError(f"{model.name} MAE {value} outside [0, 1]")

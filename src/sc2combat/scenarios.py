@@ -10,11 +10,12 @@ are diffable, and are validated against count and sum invariants at load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import ArmyState, ModelId
 from .errors import ScenarioError
-from .units import CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, is_integer, read_yaml
+from .units import (CatalogSource, Race, UnitCatalog, UnitClass, Validated, bundled_yaml,
+                    is_integer, read_yaml)
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
@@ -40,17 +41,20 @@ def seed_problem(name: str, value: object) -> str | None:
     return None if valid else f"{name} must be an int in [0, 2**64), got {value!r}"
 
 
-@dataclass(frozen=True)
-class MatchupSpec:
-    """Two armies by (unit name, count); builtin matchups carry a round/pairing id."""
-
+class _MatchupSpecFields(NamedTuple):
     army1: Composition
     army2: Composition
     round: int | None = None
     pairing: str | None = None
     name: str | None = None
 
-    def __post_init__(self) -> None:
+
+class MatchupSpec(Validated, _MatchupSpecFields):
+    """Two armies by (unit name, count); builtin matchups carry a round/pairing id."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for side, army in (("army1", self.army1), ("army2", self.army2)):
             if not army:
                 raise ScenarioError(f"{side} must contain at least one unit entry")
@@ -69,8 +73,7 @@ class MatchupSpec:
         return self.name or "custom"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A matchup plus optional experiment settings from a scenario file."""
 
     matchup: MatchupSpec
@@ -79,10 +82,7 @@ class Scenario:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    """One bundled reference result: a test battle or a model prediction."""
-
+class _ReferenceRowFields(NamedTuple):
     round: int
     type: str
     match: str
@@ -91,7 +91,13 @@ class ReferenceRow:
     win1: float
     win2: float
 
-    def __post_init__(self) -> None:
+
+class ReferenceRow(Validated, _ReferenceRowFields):
+    """One bundled reference result: a test battle or a model prediction."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.type not in ROW_TYPES:
             raise ScenarioError(f"unknown row type: {self.type!r}")
         if self.match not in PAIRINGS or self.round not in ROUNDS:

@@ -13,10 +13,9 @@ import enum
 import functools
 import math
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 import yaml
 
@@ -40,10 +39,29 @@ class Race(enum.Enum):
     ZERG = "zerg"
 
 
-@dataclass(frozen=True)
-class UnitClass:
-    """Immutable stats for one unit type."""
+class Validated:
+    """Base of a record that checks its values: ``class Record(Validated,
+    _RecordFields)``, where ``_RecordFields`` is a NamedTuple, with
+    ``__slots__ = ()`` and a ``_check`` that raises on a bad value.
 
+    A NamedTuple body may not define ``__new__``, so the check runs in this
+    one. ``_make`` goes through it too, so ``_replace`` validates, and so
+    does unpickling, which calls ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]):
+        return cls(*iterable)
+
+
+class _UnitClassFields(NamedTuple):
     name: str
     race: Race
     base_health: int
@@ -52,12 +70,18 @@ class UnitClass:
     base_dps: float
     aoe_area: float = 1.0
     ranged: bool = False
-    attributes: frozenset[str] = field(default_factory=frozenset)
+    attributes: frozenset[str] = frozenset()
     bonus_base_dps: float = 0.0
     bonus_aoe_area: float = 1.0
-    bonus_vs: frozenset[str] = field(default_factory=frozenset)
+    bonus_vs: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
+
+class UnitClass(Validated, _UnitClassFields):
+    """Immutable stats for one unit type."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.name:
             raise CatalogError("unit name must be non-empty")
         try:  # a NaN or infinite stat, or a product past the largest float

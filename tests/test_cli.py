@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -462,15 +461,16 @@ class TestWorkerPool:
         code = ("import sys, sc2combat.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
-                "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json') "
+                "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json', 'dataclasses') "
                 "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=60)
         pools, deferred = proc.stdout.splitlines()
         assert pools == "[]"
-        # the exact oracle and the CSV/JSON renderers import these when
-        # called, so a command that skips them never loads them
+        # the exact oracle and the CSV/JSON renderers import the first four
+        # when called, so a command that skips them never loads them; the
+        # records are NamedTuples, so no module imports dataclasses
         assert deferred == "[]"
 
     def test_commands_never_load_openssl(self):
@@ -527,7 +527,7 @@ class TestMae:
 
         def one_trial_each(specs, catalog, n_jobs):
             seen.append((specs, n_jobs))
-            return [run_experiment(replace(s, trials=1), catalog) for s in specs]
+            return [run_experiment(s._replace(trials=1), catalog) for s in specs]
 
         monkeypatch.setattr(cli, "run_experiments", one_trial_each)
         assert run_cli(capsys, "mae", "--simulate")[0] == 0

@@ -2,7 +2,6 @@ import concurrent.futures
 import hashlib
 import math
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -139,8 +138,8 @@ class TestRunExperiment:
         assert serial == parallel
         # a repeated spec, a 1-trial spec, fewer trials than workers, a stalemate
         specs = [spec,
-                 replace(spec, trials=1),
-                 replace(spec, model=ModelId.APX1, trials=2, master_seed=4),
+                 spec._replace(trials=1),
+                 spec._replace(model=ModelId.APX1, trials=2, master_seed=4),
                  spec,
                  ExperimentSpec(matchup=matchup([("inert", 1)], [("inert", 1)]),
                                 model=ModelId.APX1, trials=3)]

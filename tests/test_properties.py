@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -26,7 +25,7 @@ def test_invariant(prop, run_property):
 
 
 def _disarmed(comp):
-    return [(replace(unit, base_dps=0.0, bonus_base_dps=0.0, bonus_vs=frozenset()), count)
+    return [(unit._replace(base_dps=0.0, bonus_base_dps=0.0, bonus_vs=frozenset()), count)
             for unit, count in comp]
 
 
