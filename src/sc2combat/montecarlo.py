@@ -30,7 +30,7 @@ from _blake2 import blake2b
 from .engine import ArmyState, ModelId, Outcome, Winner, run_trial
 from .errors import StalemateError
 from .scenarios import SEED_LIMIT, MatchupSpec, count_problem, resolve_matchup, seed_problem
-from .units import UnitCatalog, UnitClass, Validated
+from .units import UnitCatalog, UnitClass, validated
 
 _SEED_MASK = SEED_LIMIT - 1
 
@@ -50,17 +50,14 @@ def trial_rng(master_seed: int, chunk: int) -> random.Random:
     return random.Random(trial_seed(master_seed, chunk))
 
 
-class _ExperimentSpecFields(NamedTuple):
+@validated
+class ExperimentSpec(NamedTuple):
+    """N trials of one model on one matchup, reproducibly seeded."""
+
     matchup: MatchupSpec
     model: ModelId
     trials: int = 1000
     master_seed: int = 0
-
-
-class ExperimentSpec(Validated, _ExperimentSpecFields):
-    """N trials of one model on one matchup, reproducibly seeded."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if not isinstance(self.matchup, MatchupSpec):

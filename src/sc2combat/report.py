@@ -9,7 +9,7 @@ from .engine import ModelId
 from .errors import ScenarioError
 from .montecarlo import AggregateResult
 from .scenarios import PAIRINGS, ReferenceRow
-from .units import Validated
+from .units import validated
 
 _BAR_WIDTH = 50  # characters in ascii_bar_chart's longest bar
 
@@ -33,14 +33,11 @@ class ComparisonRow(NamedTuple):
         return abs(self.simulated_win1 - self.reference_win1)
 
 
-class _ModelErrorSummaryFields(NamedTuple):
-    errors: Mapping[ModelId, float]
-
-
-class ModelErrorSummary(Validated, _ModelErrorSummaryFields):
+@validated
+class ModelErrorSummary(NamedTuple):
     """Mean absolute win-rate error per model, against the test rows."""
 
-    __slots__ = ()
+    errors: Mapping[ModelId, float]
 
     def _check(self) -> None:
         for model, value in self.errors.items():

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .engine import ArmyState, ModelId
 from .errors import ScenarioError
-from .units import (CatalogSource, Race, UnitCatalog, UnitClass, Validated, bundled_yaml,
-                    is_integer, read_yaml)
+from .units import (CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, is_integer,
+                    read_yaml, validated)
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
@@ -41,18 +41,15 @@ def seed_problem(name: str, value: object) -> str | None:
     return None if valid else f"{name} must be an int in [0, 2**64), got {value!r}"
 
 
-class _MatchupSpecFields(NamedTuple):
+@validated
+class MatchupSpec(NamedTuple):
+    """Two armies by (unit name, count); builtin matchups carry a round/pairing id."""
+
     army1: Composition
     army2: Composition
     round: int | None = None
     pairing: str | None = None
     name: str | None = None
-
-
-class MatchupSpec(Validated, _MatchupSpecFields):
-    """Two armies by (unit name, count); builtin matchups carry a round/pairing id."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for side, army in (("army1", self.army1), ("army2", self.army2)):
@@ -82,7 +79,10 @@ class Scenario(NamedTuple):
     seed: int | None = None
 
 
-class _ReferenceRowFields(NamedTuple):
+@validated
+class ReferenceRow(NamedTuple):
+    """One bundled reference result: a test battle or a model prediction."""
+
     round: int
     type: str
     match: str
@@ -90,12 +90,6 @@ class _ReferenceRowFields(NamedTuple):
     survivors2: tuple[int, int, int, int]
     win1: float
     win2: float
-
-
-class ReferenceRow(Validated, _ReferenceRowFields):
-    """One bundled reference result: a test battle or a model prediction."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.type not in ROW_TYPES:

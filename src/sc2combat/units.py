@@ -39,29 +39,29 @@ class Race(enum.Enum):
     ZERG = "zerg"
 
 
-class Validated:
-    """Base of a record that checks its values: ``class Record(Validated,
-    _RecordFields)``, where ``_RecordFields`` is a NamedTuple, with
-    ``__slots__ = ()`` and a ``_check`` that raises on a bad value.
-
-    A NamedTuple body may not define ``__new__``, so the check runs in this
-    one. ``_make`` goes through it too, so ``_replace`` validates, and so
-    does unpickling, which calls ``__new__``.
+def validated(cls):
+    """Make the NamedTuple ``cls`` run its ``_check``, which raises on a bad
+    value, on every record it builds: by the constructor, ``_make``,
+    ``_replace`` or unpickling. A NamedTuple body may not define ``__new__``,
+    so this wraps the generated one, keeping its signature for ``help()``.
     """
+    new = cls.__new__
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        record = super().__new__(cls, *args, **kwargs)
+    @functools.wraps(new)
+    def __new__(*args, **kwargs):
+        record = new(*args, **kwargs)
         record._check()
         return record
 
-    @classmethod
-    def _make(cls, iterable: Iterable[object]):
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
-class _UnitClassFields(NamedTuple):
+@validated
+class UnitClass(NamedTuple):
+    """Immutable stats for one unit type."""
+
     name: str
     race: Race
     base_health: int
@@ -74,12 +74,6 @@ class _UnitClassFields(NamedTuple):
     bonus_base_dps: float = 0.0
     bonus_aoe_area: float = 1.0
     bonus_vs: frozenset[str] = frozenset()
-
-
-class UnitClass(Validated, _UnitClassFields):
-    """Immutable stats for one unit type."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if not self.name:

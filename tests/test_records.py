@@ -1,10 +1,14 @@
 """The ten record types: each is a NamedTuple whose values, repr, pickling
 and validation stay as they were when the records were frozen dataclasses."""
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import sc2combat
 from sc2combat import (
     CatalogError,
     ExperimentSpec,
@@ -88,6 +92,17 @@ def test_reprs_are_pinned_and_records_immutable(catalog):
             record.extra = None
 
 
+def test_signatures_list_the_fields(catalog):
+    # help() shows each record's constructor by this signature
+    wrong = []
+    for cls in map(type, _records(catalog)):
+        params = inspect.signature(cls).parameters.values()
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        if [p.name for p in params] != list(cls._fields) or defaults != cls._field_defaults:
+            wrong.append(cls.__name__)
+    assert wrong == []
+
+
 # (valid record, field, bad value, exception type, message)
 BAD_VALUES = [
     (UNIT, "base_dps", -1.0, CatalogError, "marauder: DPS values must be non-negative"),
@@ -110,8 +125,19 @@ def test_validation_cannot_be_bypassed(record, field, bad, error, message):
         type(record)(**values)
     with pytest.raises(error) as replaced:
         record._replace(**{field: bad})
-    assert type(built.value) is type(replaced.value) is error
-    assert str(built.value) == str(replaced.value) == message
+    with pytest.raises(error) as made:
+        type(record)._make(values.values())
+    assert type(built.value) is type(replaced.value) is type(made.value) is error
+    assert str(built.value) == str(replaced.value) == str(made.value) == message
     # run_experiments ships UnitClass objects to pool workers
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and type(copy) is type(record)
+
+
+def test_every_validating_record_has_a_bad_value_case():
+    modules = [sc2combat] + [importlib.import_module(f"sc2combat.{info.name}")
+                             for info in pkgutil.iter_modules(sc2combat.__path__)]
+    checked = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and hasattr(value, "_fields")
+               and hasattr(value, "_check")}
+    assert checked == {type(case[0]) for case in BAD_VALUES}
