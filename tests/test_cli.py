@@ -461,8 +461,8 @@ class TestWorkerPool:
         code = ("import sys, sc2combat.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
-                "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json', 'dataclasses', "
-                "'inspect') if m in sys.modules))")
+                "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json', 'dataclasses') "
+                "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=60)
@@ -470,8 +470,7 @@ class TestWorkerPool:
         assert pools == "[]"
         # the exact oracle and the CSV/JSON renderers import the first four
         # when called, so a command that skips them never loads them; the
-        # records are NamedTuples, so no module imports dataclasses, and
-        # their signatures come from functools.wraps, not inspect
+        # records are NamedTuples, so no module imports dataclasses
         assert deferred == "[]"
 
     def test_commands_never_load_openssl(self):

@@ -1,10 +1,12 @@
 """The ten record types: each is a NamedTuple whose values, repr, pickling
 and validation stay as they were when the records were frozen dataclasses."""
 
+import ast
 import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +103,21 @@ def test_signatures_list_the_fields(catalog):
         if [p.name for p in params] != list(cls._fields) or defaults != cls._field_defaults:
             wrong.append(cls.__name__)
     assert wrong == []
+
+
+def test_no_module_imports_inspect():
+    # the signatures come from functools.wraps: importing inspect (which
+    # dataclasses did) would cost Python 3.10 and 3.11 CLI processes what
+    # dropping dataclasses saved; 3.12+ load it through importlib.resources
+    # anyway, so this reads the source rather than sys.modules
+    importers = []
+    for path in sorted(Path(sc2combat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "inspect" in names:
+                importers.append(path.name)
+    assert importers == []
 
 
 # (valid record, field, bad value, exception type, message)
