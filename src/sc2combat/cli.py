@@ -11,8 +11,6 @@ Subcommands:
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from typing import Sequence
@@ -24,7 +22,6 @@ from .montecarlo import AggregateResult, ExperimentSpec, run_experiment, run_exp
 from .scenarios import (PAIRINGS, ROUNDS, builtin_matchups, count_problem, load_scenario,
                         reference_table, seed_problem)
 from .units import (
-    DEFAULT_CATALOG_ENV,
     UnitCatalog,
     default_catalog,
     effective_bonus_dps,
@@ -48,8 +45,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> None:
     parser.add_argument("--catalog", metavar="PATH",
-                        help="unit catalog file (default: bundled catalog, "
-                             f"or ${DEFAULT_CATALOG_ENV} if set)")
+                        help="unit catalog file (default: bundled catalog)")
     _add_output(parser)
     if simulation:
         # no argparse defaults: None marks a flag not given, which _first_given

@@ -44,8 +44,6 @@ way. The bonus pool depends on both sides; it reads per-defender rows
 built by ``ArmyState.bonus_targets``.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import random

@@ -15,13 +15,11 @@ is order-independent, so results are identical for any number of jobs.
 ``sample_outcomes`` returns the counts of one serial block.
 """
 
-from __future__ import annotations
-
 import os
 import random
 import struct
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 # ``import hashlib`` loads OpenSSL's libcrypto (about 3.4 MB of resident
 # memory), while ``hashlib.blake2b`` is this same ``_blake2.blake2b``.
@@ -130,7 +128,7 @@ Resolved = Sequence[tuple[UnitClass, int]]  # an army as (unit class, count) pai
 
 
 def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_seed: int,
-                    start: int, stop: int) -> Counter[Optional[Outcome]]:
+                    start: int, stop: int) -> Counter[Outcome | None]:
     """How often each ``(winner, survivors1, survivors2)`` outcome ends the
     trials ``start:stop``, with None counting stalemates. ``start`` must be
     on a chunk boundary; each chunk's stream serves its trials in order.
@@ -139,7 +137,7 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_see
     if start % CHUNK:
         raise ValueError(f"a block must start on a {CHUNK}-trial chunk boundary, got {start}")
     army1, army2 = ArmyState(comp1), ArmyState(comp2)
-    counts: Counter[Optional[Outcome]] = Counter()
+    counts: Counter[Outcome | None] = Counter()
     for index in range(start, stop):
         if not index % CHUNK:
             rng = trial_rng(master_seed, index // CHUNK)
@@ -154,7 +152,7 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_see
     return counts
 
 
-def _aggregate(spec: ExperimentSpec, counts: Counter[Optional[Outcome]]) -> AggregateResult:
+def _aggregate(spec: ExperimentSpec, counts: Counter[Outcome | None]) -> AggregateResult:
     wins: Counter[Winner] = Counter()
     survivors1, survivors2 = [0] * len(spec.matchup.army1), [0] * len(spec.matchup.army2)
     for outcome, n in counts.items():
@@ -196,7 +194,7 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
         blocks += [(k, (comp1, comp2, spec.model, spec.master_seed,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]
-    totals: list[Counter[Optional[Outcome]]] = [Counter() for _ in specs]
+    totals: list[Counter[Outcome | None]] = [Counter() for _ in specs]
     # the CPUs this process may run on, which a taskset or cpuset pin narrows
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)

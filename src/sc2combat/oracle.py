@@ -48,8 +48,6 @@ the one that step-by-step Fraction arithmetic gives. The outcome triples
 are added the same way into one total, which must equal 1 exactly.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -82,9 +80,9 @@ class EnumerationLimits(NamedTuple):
 class ExactDistribution(NamedTuple):
     """Exact probability of every terminal (winner, survivors) outcome."""
 
-    outcomes: dict[Outcome, Fraction]
+    outcomes: dict[Outcome, "Fraction"]
 
-    def winner_probability(self, winner: Winner) -> Fraction:
+    def winner_probability(self, winner: Winner) -> "Fraction":
         # imported here: it loads decimal, ~3 ms that only exact runs need pay
         from fractions import Fraction
         return sum(

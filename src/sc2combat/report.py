@@ -1,7 +1,5 @@
 """Model-accuracy comparisons and table/CSV/JSON emission."""
 
-from __future__ import annotations
-
 import io
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 

@@ -8,8 +8,6 @@ approximation models. Both live as YAML data files so transcription fixes
 are diffable, and are validated against count and sum invariants at load.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .engine import ArmyState, ModelId
@@ -217,8 +215,9 @@ def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
         raise ScenarioError(f"scenario has unknown keys: {sorted(unknown)}")
     if "army1" not in doc or "army2" not in doc:
         raise ScenarioError("scenario must define army1 and army2")
-    if "name" in doc and doc["name"] is None:
-        raise ScenarioError("name must not be null")
+    for key in ("name", "model", "trials", "seed"):
+        if key in doc and doc[key] is None:
+            raise ScenarioError(f"{key} must not be null")
     matchup = MatchupSpec(
         army1=_parse_army(doc["army1"], "army1"),
         army2=_parse_army(doc["army2"], "army2"),

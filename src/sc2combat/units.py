@@ -7,15 +7,12 @@ area-of-effect folded in, a ranged flag, attribute tags, and bonus damage
 against tagged targets.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import math
-import os
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Union
+from typing import IO, Iterable, NamedTuple
 
 import yaml
 
@@ -24,9 +21,7 @@ from .errors import CatalogError, CombatError
 # Each point of armor multiplies surviving power by this factor.
 ARMOR_HEALTH_FACTOR = 1.5
 
-DEFAULT_CATALOG_ENV = "SC2COMBAT_CATALOG"
-
-CatalogSource = Union[str, Path, IO[str]]  # a YAML catalog or scenario: path or text stream
+CatalogSource = str | Path | IO[str]  # a YAML catalog or scenario: path or text stream
 
 # libyaml's C parser when PyYAML was built with it, else the pure-Python one;
 # both build the same documents, and the C one parses the bundled files ~7x faster.
@@ -296,13 +291,6 @@ def dumps_catalog(catalog: UnitCatalog) -> str:
 
 
 def default_catalog() -> UnitCatalog:
-    """The catalog file that $SC2COMBAT_CATALOG names, if it is set and not
-    empty, else the bundled Wings-of-Liberty-era catalog.
-
-    The bundled file is parsed once per process; an override is read on
-    every call. Each call returns a new catalog.
-    """
-    override = os.environ.get(DEFAULT_CATALOG_ENV)
-    if override:
-        return load_catalog(override)
+    """The bundled Wings-of-Liberty-era catalog, parsed once per process.
+    Each call returns a new catalog."""
     return _catalog_from(bundled_yaml("units.yaml"))

@@ -12,7 +12,6 @@ import pytest
 from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_catalog,
                        find_matchup, report, reference_table, run_experiment, run_experiments)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
-from sc2combat.units import DEFAULT_CATALOG_ENV
 
 SCENARIO = """
 army1:
@@ -148,13 +147,15 @@ class TestListCommands:
         assert code == 0
         assert [r["name"] for r in json.loads(out)] == ["zealot"]
 
-    def test_env_var_catalog(self, capsys, tmp_path, monkeypatch):
+    def test_environment_does_not_choose_the_catalog(self, capsys, tmp_path, monkeypatch):
+        # only --catalog chooses a catalog, so every run's catalog is on its command line
         path = tmp_path / "tiny.yaml"
         path.write_text(TINY_CATALOG)
-        monkeypatch.setenv(DEFAULT_CATALOG_ENV, str(path))
+        monkeypatch.setenv("SC2COMBAT_CATALOG", str(path))
+        assert len(default_catalog()) == 15
         code, out, _ = run_cli(capsys, "list-units", "--format", "json")
         assert code == 0
-        assert len(json.loads(out)) == 1
+        assert len(json.loads(out)) == 15
 
     def test_undecodable_catalog_flag_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "tiny.yaml"
@@ -177,13 +178,6 @@ class TestListCommands:
         path.write_text(TINY_CATALOG.replace("ranged: false", "ranged: \"false\""))
         assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
                               "error: zealot: bad ranged value ")
-
-    def test_undecodable_env_var_catalog_is_data_error(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "tiny.yaml"
-        path.write_bytes(UNDECODABLE)
-        monkeypatch.setenv(DEFAULT_CATALOG_ENV, str(path))
-        assert_one_error_line(run_cli(capsys, "list-units"),
-                              "error: catalog is not UTF-8 text: ")
 
 
 class TestMalformedInput:
@@ -276,12 +270,14 @@ class TestRun:
         record = json.loads(out)[0]
         assert (record["trials"], record["seed"]) == (trials, seed)
 
-    def test_null_scenario_name_is_data_error(self, capsys, tmp_path):
-        # a null name once ran with exit 0, labelled "None"
+    @pytest.mark.parametrize("key", ["name", "model"])
+    def test_null_scenario_key_is_data_error(self, capsys, tmp_path, key):
+        # a null name once ran with exit 0, labelled "None"; a null model
+        # was reported as the unknown model 'None'
         path = tmp_path / "battle.yaml"
-        path.write_text(SCENARIO + "name: ~\n")
+        path.write_text(SCENARIO.replace("model: apx4\n", "") + f"{key}: ~\n")
         assert_one_error_line(run_cli(capsys, "run", "--scenario", str(path)),
-                              "error: name must not be null")
+                              f"error: {key} must not be null")
 
     def test_model_flag_overrides_scenario(self, capsys, tmp_path):
         path = tmp_path / "battle.yaml"

@@ -13,7 +13,7 @@ import pytest
 
 from sc2combat import default_catalog
 from sc2combat.cli import run_command
-from sc2combat.units import DEFAULT_CATALOG_ENV, dumps_catalog
+from sc2combat.units import dumps_catalog
 
 SCENARIO = """
 army1:
@@ -112,11 +112,6 @@ def stdout_digest(capsys, tmp_path, argv):
     code = run_command([arg.format(scenario=path) for arg in argv])
     assert code == 0
     return sha256(capsys.readouterr().out)
-
-
-@pytest.fixture(autouse=True)
-def bundled_catalog(monkeypatch):
-    monkeypatch.delenv(DEFAULT_CATALOG_ENV, raising=False)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -20,7 +20,6 @@ from sc2combat import (
     loads_catalog,
     reference_table,
 )
-from sc2combat.units import DEFAULT_CATALOG_ENV
 
 from conftest import make_unit
 
@@ -213,12 +212,6 @@ class TestDefaultCatalog:
         assert len(by_race[Race.PROTOSS]) == 6
         assert len(by_race[Race.TERRAN]) == 5
         assert len(by_race[Race.ZERG]) == 4
-
-    def test_env_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "tiny.yaml"
-        path.write_text(ZEALOT_YAML)
-        monkeypatch.setenv(DEFAULT_CATALOG_ENV, str(path))
-        assert default_catalog().names() == ["zealot"]
 
 
 class TestYamlLoader:
