@@ -1,9 +1,11 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import settings
 
 from sc2combat import Race, UnitClass, default_catalog
 
-settings.register_profile("invariants", max_examples=1000, deadline=None)
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
 
@@ -19,22 +21,15 @@ def make_unit(name="u", health=10, dps=5.0, ranged=False, armor=0, shields=0,
     )
 
 
+def three_sigma(p, n):
+    return 3 * math.sqrt(p * (1 - p) / n)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return default_catalog()
 
-
-@pytest.fixture(scope="session")
-def run_property():
-    """Run an invariant property unless this session already ran it; return
-    whether it passed. A failing property raises on its first run."""
-    passed: dict[str, bool] = {}
-
-    def run(prop) -> bool:
-        if prop.__name__ not in passed:
-            passed[prop.__name__] = False
-            prop()
-            passed[prop.__name__] = True
-        return passed[prop.__name__]
-
-    return run

@@ -1,9 +1,9 @@
-"""Property-based invariant suite, shared by test_properties and acceptance.
+"""Property-based invariant suite, run by acceptance criterion 8.
 
 Each property runs 1000 generated cases. They are plain functions (no
-fixtures). Both suites call them through conftest's ``run_property``, so a
-pytest session runs each property only once, whichever suite reaches it
-first.
+fixtures), and every module-level ``prop_`` function is one: PROPERTIES
+lists them in definition order, so a property cannot be defined and never
+run.
 """
 
 import math
@@ -239,16 +239,4 @@ def prop_trial_streams_deterministic(index, seed):
     assert trial_rng(seed, index).random() == trial_rng(seed, index).random()
 
 
-PROPERTIES = [
-    prop_effective_health_monotone,
-    prop_effective_dps_at_least_base,
-    prop_catalog_round_trip,
-    prop_trial_survivors_bounded,
-    prop_pool_kills_bounded,
-    prop_trial_reproducible,
-    prop_pools_nonnegative_bonus_bounded,
-    prop_melee_contributes_nothing_first_round,
-    prop_aggregate_sums_exact,
-    prop_oracle_mirror_symmetric,
-    prop_trial_streams_deterministic,
-]
+PROPERTIES = [value for name, value in list(globals().items()) if name.startswith("prop_")]

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, printing one line per criterion.
+"""Acceptance suite: tests named by criterion, each printing one ACCEPTANCE line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
@@ -6,6 +6,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import re
 from pathlib import Path
+
+import pytest
 
 import sc2combat.engine
 from sc2combat import (
@@ -292,13 +294,9 @@ def test_criterion_7_derived_unit_stats():
           "effective_dps(hellion)=16.0, effective_bonus_dps(hellion)=12.0, exact")
 
 
-def test_criterion_8_invariant_property_suite(run_property):
-    """Every module invariant holds over 1000 generated cases per property.
-
-    Each property runs once per session: here, or in test_properties if that
-    ran first, in which case its recorded result is checked."""
-    for prop in PROPERTIES:
-        assert run_property(prop), f"{prop.__name__} failed earlier in this session"
-        print(f"  property ok: {prop.__name__} (1000 cases)")
-    print(f"\nACCEPTANCE 8 PASS: {len(PROPERTIES)} invariant properties x 1000 "
-          "generated cases each")
+@pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.__name__)
+def test_criterion_8_invariant_property_suite(prop):
+    """Every module invariant holds over 1000 generated cases per property,
+    one test id per property."""
+    prop()
+    print(f"\nACCEPTANCE 8 PASS: {prop.__name__}, 1000 generated cases")

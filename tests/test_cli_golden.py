@@ -7,13 +7,13 @@ writer must keep them; a change to a command's output on purpose must say
 so and pin new digests.
 """
 
-import hashlib
-
 import pytest
 
 from sc2combat import default_catalog
 from sc2combat.cli import run_command
 from sc2combat.units import dumps_catalog
+
+from conftest import sha256
 
 SCENARIO = """
 army1:
@@ -100,10 +100,6 @@ EXTRA = {
 }
 
 CATALOG_DIGEST = "a0e1a911aba11600d3d18a632cc9fbe532e80fd7be037821a08757bc9fc18807"
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def stdout_digest(capsys, tmp_path, argv):

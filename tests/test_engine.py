@@ -21,16 +21,12 @@ from sc2combat import (
     trial_rng,
 )
 
-from conftest import make_unit
+from conftest import make_unit, three_sigma
 from family_check import binomial_p, bonferroni_failures
 
 
 def army(*entries):
     return ArmyState(list(entries))
-
-
-def three_sigma(p, n):
-    return 3 * math.sqrt(p * (1 - p) / n)
 
 
 class TestModelId:

@@ -22,7 +22,7 @@ from sc2combat import (
     trial_seed,
 )
 
-from conftest import make_unit
+from conftest import make_unit, three_sigma
 
 
 def tiny_catalog():
@@ -35,10 +35,6 @@ def tiny_catalog():
 
 def matchup(army1, army2):
     return MatchupSpec(army1=tuple(army1), army2=tuple(army2))
-
-
-def three_sigma(p, n):
-    return 3 * math.sqrt(p * (1 - p) / n)
 
 
 class TestTrialStreams:

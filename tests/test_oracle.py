@@ -1,4 +1,3 @@
-import hashlib
 import random
 import time
 from fractions import Fraction
@@ -22,7 +21,7 @@ from sc2combat import (
     enumerate_exact,
 )
 
-from conftest import make_unit
+from conftest import make_unit, sha256
 
 
 def test_one_versus_one_coin_flip():
@@ -181,7 +180,7 @@ def test_max_states_counts_expanded_states(catalog, army1, army2, model, states,
     dist = enumerate_compositions(comp1, comp2, model, EnumerationLimits(max_states=states))
     exact = sorted((repr(outcome), hex(p.numerator), hex(p.denominator))
                    for outcome, p in dist.outcomes.items())
-    assert hashlib.sha256(repr(exact).encode()).hexdigest() == digest
+    assert sha256(repr(exact)) == digest
     with pytest.raises(EnumerationLimitError):
         enumerate_compositions(comp1, comp2, model, EnumerationLimits(max_states=states - 1))
 

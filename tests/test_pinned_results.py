@@ -14,13 +14,11 @@ zero-pool digests were taken while the trial loop still skipped spending a
 pool of 0, which draws nothing either way.
 """
 
-import hashlib
-
 from sc2combat import EnumerationLimits, ExperimentSpec, MatchupSpec, ModelId, Race, UnitCatalog
 from sc2combat import builtin_matchups, enumerate_compositions, find_matchup, run_experiment
 from sc2combat import sample_outcomes
 
-from conftest import make_unit
+from conftest import make_unit, sha256
 
 GRID_DIGEST = "88571bcb522041d50f3d27a565cc783a673c8f7db73f02f51b9601333bcfeb44"
 MIXED_4V4_DIGEST = "20b2a8dc233f6233e30e349ee16177d49a7967770fd58fc7cf7e4d40433aff10"
@@ -70,10 +68,6 @@ BIG_FRACTION_DIGESTS = {
     "big denominators":
         "7172c1f3b8931fab043bf9af9840613c4eada9e0a157d39cb4187a9494da0c28",
 }
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_grid_results_are_pinned(catalog):

@@ -50,10 +50,6 @@ class TestMaeByModel:
         for model, expected in EXPECTED_MAE.items():
             assert summary.errors[model] == pytest.approx(expected, abs=1e-9)
 
-    def test_apx3_beats_apx4(self):
-        summary = mae_by_model(reference_table())
-        assert summary.errors[ModelId.APX3] < summary.errors[ModelId.APX4]
-
     @pytest.mark.parametrize("value", [1.5, -0.25])
     def test_error_outside_unit_interval_rejected(self, value):
         with pytest.raises(AssertionError, match=rf"APX1 MAE {value} outside \[0, 1\]"):

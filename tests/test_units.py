@@ -40,15 +40,6 @@ ZEALOT_YAML = """
 
 
 class TestDerivedStats:
-    def test_zealot_effective_health(self, catalog):
-        assert effective_health(catalog["zealot"]) == 225.0
-
-    def test_hellion_effective_dps(self, catalog):
-        assert effective_dps(catalog["hellion"]) == 16.0
-
-    def test_hellion_effective_bonus_dps(self, catalog):
-        assert effective_bonus_dps(catalog["hellion"]) == 12.0
-
     def test_armor_zero_identity(self):
         unit = make_unit(health=70, shields=30, armor=0)
         assert effective_health(unit) == 100.0
