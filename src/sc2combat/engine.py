@@ -58,11 +58,6 @@ from .units import UnitClass, effective_bonus_dps, effective_dps, effective_heal
 _POOL_CACHE_ENTRIES = 1024
 
 
-class TargetPolicy(enum.Enum):
-    UNIFORM_RANDOM = "uniform_random"
-    MELEE_FIRST = "melee_first"
-
-
 class ModelId(enum.Enum):
     """The four approximation models; each adds one feature to the last."""
 
@@ -75,8 +70,7 @@ class ModelId(enum.Enum):
     def __init__(self, value: int) -> None:
         self.ranged_first_round = value >= 2  # only ranged units feed round one's pool
         self.bonus_pools = value >= 3  # attribute-bonus damage joins the pools
-        self.target_policy = (TargetPolicy.MELEE_FIRST if value >= 4
-                              else TargetPolicy.UNIFORM_RANDOM)
+        self.melee_first = value >= 4  # melee units are targeted before ranged ones
 
     @classmethod
     def parse(cls, text: str) -> "ModelId":
@@ -148,13 +142,12 @@ class ArmyState:
                 for i, unit in enumerate(self.classes) if self.eff_bonus_dps[i] != 0.0)
         return self._bonus_rows
 
-    def eligible(self, policy: TargetPolicy,
-                 counts: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    def eligible(self, model: ModelId, counts: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """The classes the next target is drawn from when this side has
-        ``counts`` alive, and how many units they hold: under MELEE_FIRST
-        the melee classes while any of them is alive, otherwise every class.
-        A class in the result may have no unit alive."""
-        if policy is TargetPolicy.MELEE_FIRST:
+        ``counts`` alive, and how many units they hold: under a melee-first
+        model the melee classes while any of them is alive, otherwise every
+        class. A class in the result may have no unit alive."""
+        if model.melee_first:
             alive = sum([counts[i] for i in self.melee])
             if alive:
                 return self.melee, alive
@@ -218,19 +211,19 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
     return total
 
 
-def apply_pool(pool: float, defender: ArmyState, policy: TargetPolicy,
+def apply_pool(pool: float, defender: ArmyState, model: ModelId,
                group: tuple[int, ...], left: int,
-               random: Callable[[], float]) -> tuple[float, tuple[int, ...], int]:
+               random: Callable[[], float]) -> tuple[tuple[int, ...], int]:
     """Spend a damage pool on the defender, killing units one at a time.
 
     ``group`` and ``left`` are the defender's eligible classes and the units
     they hold (``ArmyState.eligible``), carried from the last call; a caller
-    starting from counts passes ``defender.eligible(policy,
+    starting from counts passes ``defender.eligible(model,
     defender.counts)``. Each target is one unit drawn uniformly from them by
     ``random()`` in [0, 1), and killed units cannot be re-selected. Returns
-    the damage left over, discarded once the defender is wiped out, and the
-    new ``(group, left)``. A pool of 0 draws nothing. A ``left`` of 0 is
-    refreshed, so it stays 0 only when no unit is alive."""
+    the new ``(group, left)``; damage left after a wipe-out is discarded.
+    A pool of 0 draws nothing. A ``left`` of 0 is refreshed, so it stays 0
+    only when no unit is alive."""
     counts, health = defender.counts, defender.eff_health
     while pool > 0 and left:
         pick = random() * left
@@ -243,15 +236,15 @@ def apply_pool(pool: float, defender: ArmyState, policy: TargetPolicy,
         h = health[i]
         if pool < h:
             if random() >= pool / h:
-                return 0.0, group, left
+                return group, left
             pool = 0.0
         else:
             pool -= h
         counts[i] -= 1
         left -= 1
         if not left:
-            group, left = defender.eligible(policy, counts)
-    return (pool if pool > 0.0 else 0.0), group, left
+            group, left = defender.eligible(model, counts)
+    return group, left
 
 
 def _kill_odds(pool: float, defender: ArmyState, group: tuple[int, ...],
@@ -294,8 +287,7 @@ def _round_entry(army1: ArmyState, army2: ArmyState, model: ModelId, first: bool
 
 
 def _lottery_kill(table: tuple[tuple[float, int], ...], pick: float, defender: ArmyState,
-                  policy: TargetPolicy, group: tuple[int, ...],
-                  left: int) -> tuple[tuple[int, ...], int]:
+                  model: ModelId, group: tuple[int, ...], left: int) -> tuple[tuple[int, ...], int]:
     """Kill the unit of the first class whose cumulative odds in ``table``
     exceed ``pick``; returns the new ``(group, left)``, refreshed as in ``apply_pool``."""
     for odds, i in table:
@@ -306,7 +298,7 @@ def _lottery_kill(table: tuple[tuple[float, int], ...], pick: float, defender: A
     counts[i] -= 1
     left -= 1
     if not left:
-        group, left = defender.eligible(policy, counts)
+        group, left = defender.eligible(model, counts)
     return group, left
 
 
@@ -340,9 +332,8 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     takes O(units**2) expected loop passes.
     """
     counts1, counts2 = army1.counts, army2.counts
-    policy = model.target_policy
-    group1, left1 = army1.eligible(policy, counts1)
-    group2, left2 = army2.eligible(policy, counts2)
+    group1, left1 = army1.eligible(model, counts1)
+    group2, left2 = army2.eligible(model, counts2)
     if not left1 or not left2:
         raise ValueError("both armies must start with at least one unit")
     pools = army1._round_pools(army2, model)
@@ -366,15 +357,15 @@ def run_trial(army1: ArmyState, army2: ArmyState,
             # largest float; it then stays there
             rounds += int(min(math.log(1.0 - draw()) / log_q, sys.float_info.max))
             if draw() < share1:
-                group2, left2 = _lottery_kill(table1, draw() * kill1, army2, policy, group2, left2)
+                group2, left2 = _lottery_kill(table1, draw() * kill1, army2, model, group2, left2)
                 side2 = draw() < kill2
             else:
                 side2 = True
             if side2:
-                group1, left1 = _lottery_kill(table2, draw() * kill2, army1, policy, group1, left1)
+                group1, left1 = _lottery_kill(table2, draw() * kill2, army1, model, group1, left1)
         else:
-            _, group2, left2 = apply_pool(pool1, army2, policy, group2, left2, draw)
-            _, group1, left1 = apply_pool(pool2, army1, policy, group1, left1, draw)
+            group2, left2 = apply_pool(pool1, army2, model, group2, left2, draw)
+            group1, left1 = apply_pool(pool2, army1, model, group1, left1, draw)
         if not left1 or not left2:
             winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
             return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)

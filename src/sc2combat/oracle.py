@@ -51,7 +51,7 @@ are added the same way into one total, which must equal 1 exactly.
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import ArmyState, ModelId, Outcome, TargetPolicy, Winner, compute_pool
+from .engine import ArmyState, ModelId, Outcome, Winner, compute_pool
 from .errors import EnumerationLimitError, StalemateError
 from .scenarios import MatchupSpec, resolve_matchup
 from .units import UnitCatalog, UnitClass
@@ -100,7 +100,7 @@ class ExactDistribution(NamedTuple):
 
 
 def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
-                        policy: TargetPolicy) -> tuple[dict[tuple[int, ...], int], int]:
+                        model: ModelId) -> tuple[dict[tuple[int, ...], int], int]:
     """Distribution of the counts left when ``pool`` is spent on ``army`` at
     ``counts``: every selection/kill branch, exactly, with targets drawn from
     the classes ``ArmyState.eligible`` names, as ``engine.apply_pool`` does.
@@ -114,7 +114,7 @@ def _apply_distribution(pool: float, army: ArmyState, counts: tuple[int, ...],
             if pool <= 0 or not any(counts):
                 _add_mass(left, counts, num, den, no_factors, [])
                 continue
-            eligible, total = army.eligible(policy, counts)
+            eligible, total = army.eligible(model, counts)
             for i in eligible:
                 if not counts[i]:
                     continue
@@ -172,7 +172,6 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
     if not any(counts1) or not any(counts2):
         raise ValueError("both armies must start with at least one unit")
 
-    policy = model.target_policy
     # Pending states by unit total, expanded from the highest total down
     # (see the module docstring).
     top = sum(counts1) + sum(counts2)
@@ -193,8 +192,8 @@ def enumerate_compositions(comp1: list[tuple[UnitClass, int]],
             army2.counts[:] = c2
             pool1 = compute_pool(army1, army2, model, first_round)
             pool2 = compute_pool(army2, army1, model, first_round)
-            dist2, den2 = _apply_distribution(pool1, army2, c2, policy)
-            dist1, den1 = _apply_distribution(pool2, army1, c1, policy)
+            dist2, den2 = _apply_distribution(pool1, army2, c2, model)
+            dist1, den1 = _apply_distribution(pool2, army1, c1, model)
             joint = den1 * den2
             self_weight = 0 if first_round else dist1.get(c1, 0) * dist2.get(c2, 0)
             if self_weight == joint:

@@ -8,12 +8,12 @@ approximation models. Both live as YAML data files so transcription fixes
 are diffable, and are validated against count and sum invariants at load.
 """
 
+from pathlib import Path
 from typing import NamedTuple
 
 from .engine import ArmyState, ModelId
 from .errors import ScenarioError
-from .units import (CatalogSource, Race, UnitCatalog, UnitClass, bundled_yaml, is_integer,
-                    read_yaml, validated)
+from .units import Race, UnitCatalog, UnitClass, bundled_yaml, is_integer, read_yaml, validated
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
 ROUNDS = (1, 2, 3, 4)
@@ -199,15 +199,15 @@ def find_reference_row(round: int, type: str, match: str) -> ReferenceRow:
     raise ScenarioError(f"no reference row for round {round} {type} {match}")
 
 
-def load_scenario(source: CatalogSource, catalog: UnitCatalog) -> Scenario:
-    """Parse a user scenario document and resolve it against the catalog.
+def load_scenario(path: str | Path, catalog: UnitCatalog) -> Scenario:
+    """Load a user scenario file and resolve it against the catalog.
 
     The document holds ``army1`` and ``army2`` mappings of unit name to
     count, plus optional ``model``, ``trials``, ``seed`` and ``name`` keys.
     None of the optional keys may be null; a non-null ``name`` is kept in
     its ``str()`` form.
     """
-    doc = read_yaml(source, "scenario", ScenarioError)
+    doc = read_yaml(path, "scenario", ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     unknown = doc.keys() - {"army1", "army2", "model", "trials", "seed", "name"}

@@ -12,7 +12,7 @@ import functools
 import math
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import yaml
 
@@ -21,11 +21,28 @@ from .errors import CatalogError, CombatError
 # Each point of armor multiplies surviving power by this factor.
 ARMOR_HEALTH_FACTOR = 1.5
 
-CatalogSource = str | Path | IO[str]  # a YAML catalog or scenario: path or text stream
+
+class _UniqueKeys:
+    """A PyYAML loader mixin: a key repeated in one mapping is an error naming the key
+    and its line, where PyYAML keeps the last value. A ``<<`` merge's keys may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # rejects an unhashable key
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node)  # built above, so cached
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
 
 # libyaml's C parser when PyYAML was built with it, else the pure-Python one;
 # both build the same documents, and the C one parses the bundled files ~7x faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 
 class Race(enum.Enum):
@@ -137,9 +154,6 @@ class UnitCatalog:
             return NotImplemented
         return self._entries == other._entries
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
 
 def _race(value: object) -> Race:
     try:
@@ -233,14 +247,11 @@ def parse_yaml(text: str, what: str, error: type[CombatError]) -> object:
         raise error(f"{what} is not valid YAML: {exc}") from exc
 
 
-def read_yaml(source: CatalogSource, what: str, error: type[CombatError]) -> object:
-    """Read a UTF-8 YAML path or open text stream and parse it; text that
-    does not decode or parse raises ``error``."""
+def read_yaml(path: str | Path, what: str, error: type[CombatError]) -> object:
+    """Read a UTF-8 YAML file and parse it; text that does not decode or
+    parse raises ``error``."""
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            text = Path(source).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8 text: {exc}") from exc
     return parse_yaml(text, what, error)
@@ -262,14 +273,14 @@ def _catalog_from(doc: object) -> UnitCatalog:
     return UnitCatalog(_parse_record(record) for record in doc)
 
 
-def load_catalog(source: CatalogSource) -> UnitCatalog:
-    """Load a catalog from a YAML path or open text stream.
+def load_catalog(path: str | Path) -> UnitCatalog:
+    """Load a catalog from a YAML file.
 
     The document is a list of unit records; see the bundled
     ``data/units.yaml`` for the schema. An empty document is a valid,
     empty catalog.
     """
-    return _catalog_from(read_yaml(source, "catalog", CatalogError))
+    return _catalog_from(read_yaml(path, "catalog", CatalogError))
 
 
 def loads_catalog(text: str) -> UnitCatalog:

@@ -17,7 +17,6 @@ from sc2combat import (
     ExperimentSpec,
     MatchupSpec,
     ModelId,
-    TargetPolicy,
     UnitCatalog,
     Winner,
     apply_pool,
@@ -148,13 +147,13 @@ def prop_trial_survivors_bounded(comp1, comp2, model, seed):
 
 @CASES
 @given(comp=compositions(), pool=st.integers(1, 120),
-       policy=st.sampled_from(TargetPolicy), seed=st.integers(0, 2**32))
-def prop_pool_kills_bounded(comp, pool, policy, seed):
+       model=st.sampled_from((ModelId.APX1, ModelId.APX4)), seed=st.integers(0, 2**32))
+def prop_pool_kills_bounded(comp, pool, model, seed):
     defender = ArmyState(comp)
     before = sum(defender.counts)
     min_health = min(defender.eff_health)
-    group, left = defender.eligible(policy, defender.counts)
-    apply_pool(float(pool), defender, policy, group, left, random.Random(seed).random)
+    group, left = defender.eligible(model, defender.counts)
+    apply_pool(float(pool), defender, model, group, left, random.Random(seed).random)
     kills = before - sum(defender.counts)
     assert kills <= min(before, math.ceil(pool / min_health))
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,20 @@ class TestMalformedInput:
         path.write_text(text)
         assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
                               f"error: {message}")
+
+    @pytest.mark.parametrize("argv, text, key, line", [
+        (("run", "--scenario"), SCENARIO.replace("  stalker: 2\n", "  stalker: 2\n  zealot: 3\n"),
+         "zealot", 5),
+        (("run", "--scenario"), SCENARIO + "trials: 60\n", "trials", 11),
+        (("list-units", "--catalog"), TINY_CATALOG + "  dps: 20.0\n", "dps", 14),
+    ], ids=["army1-unit", "trials", "catalog-dps"])
+    def test_repeated_key_is_data_error(self, capsys, tmp_path, argv, text, key, line):
+        # YAML itself would let the last value win
+        path = tmp_path / "data.yaml"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert re.search(rf"found duplicate key '{key}'\s+in .+, line {line},", err), err
 
 
 class TestRun:

@@ -10,7 +10,6 @@ from sc2combat import (
     ArmyState,
     ModelId,
     StalemateError,
-    TargetPolicy,
     TrialOutcome,
     Winner,
     apply_pool,
@@ -38,7 +37,7 @@ class TestModelId:
 
     def test_each_model_adds_exactly_one_feature(self):
         features = {
-            m: (m.ranged_first_round, m.bonus_pools, m.target_policy is TargetPolicy.MELEE_FIRST)
+            m: (m.ranged_first_round, m.bonus_pools, m.melee_first)
             for m in ModelId
         }
         assert features[ModelId.APX1] == (False, False, False)
@@ -191,25 +190,23 @@ class TestBonusPool:
             == 0.6000000000000001
 
 
-def spend_from_counts(pool, defender, policy, draw):
+def spend_from_counts(pool, defender, model, draw):
     """``apply_pool`` from the defender's counts, with no group carried in."""
-    return apply_pool(pool, defender, policy, *defender.eligible(policy, defender.counts), draw)
+    return apply_pool(pool, defender, model, *defender.eligible(model, defender.counts), draw)
 
 
 class TestApplyPool:
     def test_exact_lethal_kill_is_certain(self):
         defender = army((make_unit("d", health=20), 1))
-        pool, _, _ = spend_from_counts(20.0, defender, TargetPolicy.UNIFORM_RANDOM,
-                                       random.Random(1).random)
+        spend_from_counts(20.0, defender, ModelId.APX1, random.Random(1).random)
         assert defender.counts == [0]
-        assert pool == 0.0
 
     def test_partial_pool_kills_at_ratio(self):
         kills = 0
         n = 10_000
         for i in range(n):
             defender = army((make_unit("d", health=10), 1))
-            spend_from_counts(5.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(i).random)
+            spend_from_counts(5.0, defender, ModelId.APX1, random.Random(i).random)
             kills += defender.counts[0] == 0
         assert abs(kills / n - 0.5) <= three_sigma(0.5, n)
 
@@ -218,19 +215,19 @@ class TestApplyPool:
         shooter = make_unit("r", health=10, ranged=True)
         for seed in range(200):
             defender = army((melee, 1), (shooter, 1))
-            spend_from_counts(10.0, defender, TargetPolicy.MELEE_FIRST, random.Random(seed).random)
+            spend_from_counts(10.0, defender, ModelId.APX4, random.Random(seed).random)
             assert defender.counts == [0, 1]
 
     def test_overkill_is_discarded(self):
         defender = army((make_unit("d", health=5), 2))
-        spend_from_counts(1000.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0).random)
+        spend_from_counts(1000.0, defender, ModelId.APX1, random.Random(0).random)
         assert defender.counts == [0]
 
-    @pytest.mark.parametrize("policy, comp, expected", [
-        (TargetPolicy.UNIFORM_RANDOM, ((False, 1), (False, 1), (False, 0)), [1, 0, 0]),
-        (TargetPolicy.MELEE_FIRST, ((False, 1), (False, 0), (True, 1)), [0, 0, 1]),
+    @pytest.mark.parametrize("model, comp, expected", [
+        (ModelId.APX1, ((False, 1), (False, 1), (False, 0)), [1, 0, 0]),
+        (ModelId.APX4, ((False, 1), (False, 0), (True, 1)), [0, 0, 1]),
     ])
-    def test_pick_rounding_falls_back_to_last_eligible_class(self, policy, comp, expected):
+    def test_pick_rounding_falls_back_to_last_eligible_class(self, model, comp, expected):
         def top_of_range():
             # random() never returns 1.0; a pick that rounds up to the total
             # takes the same path
@@ -238,12 +235,12 @@ class TestApplyPool:
 
         defender = army(*((make_unit(f"u{i}", health=10, ranged=r), c)
                           for i, (r, c) in enumerate(comp)))
-        spend_from_counts(10.0, defender, policy, top_of_range)
+        spend_from_counts(10.0, defender, model, top_of_range)
         assert defender.counts == expected
 
     def test_zero_pool_is_noop(self):
         defender = army((make_unit("d"), 3))
-        spend_from_counts(0.0, defender, TargetPolicy.UNIFORM_RANDOM, random.Random(0).random)
+        spend_from_counts(0.0, defender, ModelId.APX1, random.Random(0).random)
         assert defender.counts == [3]
 
 
@@ -287,39 +284,39 @@ class TestEligibleCount:
     CLASSES = (make_unit("m1", health=10), make_unit("r", health=15, ranged=True),
                make_unit("m2", health=20))
 
-    def wipe_out(self, policy, spend):
+    def wipe_out(self, model, spend):
         """Spend on a defender of every start of up to 2 units a class until
         it is wiped out, checking ``(group, left)`` after each call; returns
         how often melee-first targeting moved on to the ranged class."""
         switches = 0
         for counts in product(range(3), repeat=len(self.CLASSES)):
             defender, rng = army(*zip(self.CLASSES, counts)), random.Random(sum(counts))
-            group, left = defender.eligible(policy, defender.counts)
+            group, left = defender.eligible(model, defender.counts)
             while left:
                 before = group
                 group, left = spend(defender, group, left, rng)
-                assert (group, left) == defender.eligible(policy, defender.counts)
+                assert (group, left) == defender.eligible(model, defender.counts)
                 assert (left == 0) == (sum(defender.counts) == 0)
                 switches += before == defender.melee != group and left > 0
         return switches
 
-    @pytest.mark.parametrize("policy", list(TargetPolicy))
+    @pytest.mark.parametrize("model", (ModelId.APX1, ModelId.APX4))
     @pytest.mark.parametrize("pool", [4.0, 12.0, 27.0, 100.0])
-    def test_spend(self, policy, pool):
+    def test_spend(self, model, pool):
         def spend(defender, group, left, rng):
-            return engine.apply_pool(pool, defender, policy, group, left, rng.random)[1:]
+            return engine.apply_pool(pool, defender, model, group, left, rng.random)
 
-        switches = self.wipe_out(policy, spend)
+        switches = self.wipe_out(model, spend)
         # a pool of 100 kills every army here in one call
-        assert bool(switches) == (policy is TargetPolicy.MELEE_FIRST and pool < 100)
+        assert bool(switches) == (model.melee_first and pool < 100)
 
-    @pytest.mark.parametrize("policy", list(TargetPolicy))
-    def test_lottery_kill(self, policy):
+    @pytest.mark.parametrize("model", (ModelId.APX1, ModelId.APX4))
+    def test_lottery_kill(self, model):
         def spend(defender, group, left, rng):
             kill, table = engine._kill_odds(4.0, defender, group, left)
-            return engine._lottery_kill(table, rng.random() * kill, defender, policy, group, left)
+            return engine._lottery_kill(table, rng.random() * kill, defender, model, group, left)
 
-        assert bool(self.wipe_out(policy, spend)) == (policy is TargetPolicy.MELEE_FIRST)
+        assert bool(self.wipe_out(model, spend)) == model.melee_first
 
     @pytest.mark.parametrize("model, rounds", [(ModelId.APX1, 1), (ModelId.APX4, 2)])
     def test_mutual_wipe_out_is_a_draw(self, model, rounds):
@@ -542,15 +539,15 @@ class TestArmyState:
         with pytest.raises(ValueError, match="integers"):
             ArmyState([(make_unit("a"), 2), (make_unit("b"), count)])
 
-    @pytest.mark.parametrize("policy, counts, expected", [
-        (TargetPolicy.MELEE_FIRST, [2, 3, 1], ((0, 2), 3)),
-        (TargetPolicy.MELEE_FIRST, [0, 3, 0], ((0, 1, 2), 3)),  # no melee left: every class
-        (TargetPolicy.UNIFORM_RANDOM, [2, 3, 1], ((0, 1, 2), 6)),
-        (TargetPolicy.MELEE_FIRST, [0, 0, 0], ((0, 1, 2), 0)),
+    @pytest.mark.parametrize("model, counts, expected", [
+        (ModelId.APX4, [2, 3, 1], ((0, 2), 3)),
+        (ModelId.APX4, [0, 3, 0], ((0, 1, 2), 3)),  # no melee left: every class
+        (ModelId.APX1, [2, 3, 1], ((0, 1, 2), 6)),
+        (ModelId.APX4, [0, 0, 0], ((0, 1, 2), 0)),
     ])
-    def test_eligible_targets(self, policy, counts, expected):
+    def test_eligible_targets(self, model, counts, expected):
         state = army((make_unit("m1"), 2), (make_unit("r", ranged=True), 3), (make_unit("m2"), 1))
-        assert state.eligible(policy, counts) == expected
+        assert state.eligible(model, counts) == expected
 
     def test_bonus_targets_built_once_per_opponent(self):
         attacker = army((make_unit("a", bonus=2.0, bonus_vs=("light",)), 1),

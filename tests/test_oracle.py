@@ -14,7 +14,6 @@ from sc2combat import (
     ModelId,
     ScenarioError,
     StalemateError,
-    TargetPolicy,
     UnitCatalog,
     Winner,
     enumerate_compositions,
@@ -240,7 +239,7 @@ def test_degeneracy_spot_checks():
     assert apx3.outcomes == apx4.outcomes
 
 
-def _leaf_list_distribution(pool, army, counts, policy):
+def _leaf_list_distribution(pool, army, counts, model):
     """The reference for ``oracle._apply_distribution``: one leaf per ordered
     kill sequence, no two merged, folded over one lcm at the end."""
     leaves = []  # (counts, num, den)
@@ -249,7 +248,7 @@ def _leaf_list_distribution(pool, army, counts, policy):
         if pool <= 0 or not any(counts):
             leaves.append((counts, num, den))
             return
-        eligible, total = army.eligible(policy, counts)
+        eligible, total = army.eligible(model, counts)
         for i in eligible:
             if not counts[i]:
                 continue
@@ -288,9 +287,9 @@ def test_spending_matches_leaf_list_expansion():
         army = ArmyState(comp)
         pool = (rng.randint(1, 3) * 1e16 + rng.choice((0, 1, 5, 13)) if huge
                 else rng.choice((rng.uniform(0, 60), float(rng.randint(0, 60)))))
-        for policy in TargetPolicy:
-            assert (oracle._apply_distribution(pool, army, army.initial_counts, policy)
-                    == _leaf_list_distribution(pool, army, army.initial_counts, policy))
+        for model in (ModelId.APX1, ModelId.APX4):
+            assert (oracle._apply_distribution(pool, army, army.initial_counts, model)
+                    == _leaf_list_distribution(pool, army, army.initial_counts, model))
 
 
 def test_kill_orders_leaving_different_pools_stay_apart():
@@ -299,21 +298,21 @@ def test_kill_orders_leaving_different_pools_stay_apart():
     army = ArmyState([(make_unit("big", health=1e16), 2), (make_unit("small", health=6.5), 1)])
     pool = 2e16 + 5
     assert (pool - 1e16) - 6.5 != (pool - 6.5) - 1e16
-    for policy in TargetPolicy:
-        assert (oracle._apply_distribution(pool, army, army.initial_counts, policy)
-                == _leaf_list_distribution(pool, army, army.initial_counts, policy))
+    for model in (ModelId.APX1, ModelId.APX4):
+        assert (oracle._apply_distribution(pool, army, army.initial_counts, model)
+                == _leaf_list_distribution(pool, army, army.initial_counts, model))
 
 
-@pytest.mark.parametrize("policy", list(TargetPolicy))
-def test_sixteen_unit_pool_spends_in_under_a_second(policy):
+@pytest.mark.parametrize("model", (ModelId.APX1, ModelId.APX4))
+def test_sixteen_unit_pool_spends_in_under_a_second(model):
     # ten sure kills over four classes: about 4**10 kill orders, far fewer
     # distinct (pool, counts) nodes
     classes = [make_unit(f"c{h}", health=h, dps=1.0) for h in (10, 11, 12, 13)]
     small = ArmyState([(unit, 2) for unit in classes])
-    assert (oracle._apply_distribution(11.5 * 6, small, small.initial_counts, policy)
-            == _leaf_list_distribution(11.5 * 6, small, small.initial_counts, policy))
+    assert (oracle._apply_distribution(11.5 * 6, small, small.initial_counts, model)
+            == _leaf_list_distribution(11.5 * 6, small, small.initial_counts, model))
     army = ArmyState([(unit, 4) for unit in classes])
     start = time.perf_counter()
-    weights, denominator = oracle._apply_distribution(11.5 * 10, army, army.initial_counts, policy)
+    weights, denominator = oracle._apply_distribution(11.5 * 10, army, army.initial_counts, model)
     assert time.perf_counter() - start < 1.0
     assert sum(weights.values()) == denominator

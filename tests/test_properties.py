@@ -8,7 +8,6 @@ from sc2combat import (
     ArmyState,
     ModelId,
     StalemateError,
-    TargetPolicy,
     enumerate_compositions,
     run_trial,
     trial_rng,
@@ -56,9 +55,9 @@ class _CountingArmy(ArmyState):
 
     __slots__ = ("calls",)
 
-    def eligible(self, policy, counts):
+    def eligible(self, model, counts):
         self.calls += 1
-        return super().eligible(policy, counts)
+        return super().eligible(model, counts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -76,7 +75,7 @@ def test_spending_expands_at_most_the_reachable_count_vectors(classes, pool):
     kills = pool // min(alive) if alive else 0
     reachable = sum(1 for removed in product(*(range(c + 1) for c in army.initial_counts))
                     if sum(removed) <= kills)
-    for policy in TargetPolicy:
+    for model in (ModelId.APX1, ModelId.APX4):
         army.calls = 0
-        oracle._apply_distribution(float(pool), army, army.initial_counts, policy)
+        oracle._apply_distribution(float(pool), army, army.initial_counts, model)
         assert army.calls <= reachable

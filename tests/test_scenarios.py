@@ -1,5 +1,4 @@
 import copy
-import io
 import re
 
 import pytest
@@ -233,65 +232,68 @@ class TestMatchupValidation:
 
 
 class TestLoadScenario:
-    def test_valid_scenario(self, catalog):
-        scenario = load_scenario(io.StringIO(SCENARIO), catalog)
+    @pytest.fixture
+    def load(self, tmp_path, catalog):
+        """``load_scenario`` on a file holding the given text."""
+        def load(text):
+            path = tmp_path / "battle.yaml"
+            path.write_text(text, encoding="utf-8")
+            return load_scenario(path, catalog)
+        return load
+
+    def test_valid_scenario(self, load):
+        scenario = load(SCENARIO)
         assert scenario.matchup.army1 == (("zealot", 8), ("stalker", 2))
         assert scenario.model is ModelId.APX4
         assert scenario.trials == 1000
         assert scenario.seed == 42
 
-    def test_optional_fields_default_to_none(self, catalog):
-        scenario = load_scenario(io.StringIO("army1: {zealot: 1}\narmy2: {marine: 1}"), catalog)
+    def test_optional_fields_default_to_none(self, load):
+        scenario = load("army1: {zealot: 1}\narmy2: {marine: 1}")
         assert scenario.model is None
         assert scenario.trials is None
         assert scenario.seed is None
 
-    def test_unknown_unit(self, catalog):
+    def test_unknown_unit(self, load):
         doc = SCENARIO.replace("marine", "wraith")
         with pytest.raises(ScenarioError, match="wraith"):
-            load_scenario(io.StringIO(doc), catalog)
+            load(doc)
 
-    def test_zero_count(self, catalog):
+    def test_zero_count(self, load):
         doc = SCENARIO.replace("zealot: 8", "zealot: 0")
         with pytest.raises(ScenarioError):
-            load_scenario(io.StringIO(doc), catalog)
+            load(doc)
 
-    def test_missing_army(self, catalog):
+    def test_missing_army(self, load):
         with pytest.raises(ScenarioError, match="army"):
-            load_scenario(io.StringIO("army1: {zealot: 1}"), catalog)
+            load("army1: {zealot: 1}")
 
-    def test_bad_model(self, catalog):
+    def test_bad_model(self, load):
         doc = SCENARIO.replace("apx4", "apx9")
         with pytest.raises(ScenarioError, match="model"):
-            load_scenario(io.StringIO(doc), catalog)
+            load(doc)
 
-    def test_bad_trials(self, catalog):
+    def test_bad_trials(self, load):
         doc = SCENARIO.replace("trials: 1000", "trials: 0")
         with pytest.raises(ScenarioError, match="trials"):
-            load_scenario(io.StringIO(doc), catalog)
+            load(doc)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, "x"])
-    def test_bad_seed(self, catalog, seed):
+    def test_bad_seed(self, load, seed):
         doc = SCENARIO.replace("seed: 42", f"seed: {seed}")
         with pytest.raises(ScenarioError, match="seed"):
-            load_scenario(io.StringIO(doc), catalog)
+            load(doc)
 
     @pytest.mark.parametrize("key", ["name", "model", "trials", "seed"])
-    def test_null_optional_key_rejected(self, catalog, key):
+    def test_null_optional_key_rejected(self, load, key):
         with pytest.raises(ScenarioError, match=key):
-            load_scenario(io.StringIO(f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\n{key}: ~"),
-                          catalog)
+            load(f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\n{key}: ~")
 
     @pytest.mark.parametrize("value, name", [("skirmish", "skirmish"), ("42", "42"), ("''", "")])
-    def test_name_kept_as_text(self, catalog, value, name):
+    def test_name_kept_as_text(self, load, value, name):
         doc = f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\nname: {value}"
-        assert load_scenario(io.StringIO(doc), catalog).matchup.name == name
+        assert load(doc).matchup.name == name
 
-    def test_unknown_key(self, catalog):
+    def test_unknown_key(self, load):
         with pytest.raises(ScenarioError, match="unknown"):
-            load_scenario(io.StringIO(SCENARIO + "\nupgrades: 3"), catalog)
-
-    def test_from_path(self, tmp_path, catalog):
-        path = tmp_path / "battle.yaml"
-        path.write_text(SCENARIO)
-        assert load_scenario(path, catalog).seed == 42
+            load(SCENARIO + "\nupgrades: 3")

@@ -1,4 +1,3 @@
-import io
 import math
 from importlib import resources
 
@@ -9,6 +8,7 @@ import sc2combat.units as units
 from sc2combat import (
     CatalogError,
     Race,
+    ScenarioError,
     UnitCatalog,
     builtin_matchups,
     default_catalog,
@@ -17,6 +17,7 @@ from sc2combat import (
     effective_dps,
     effective_health,
     load_catalog,
+    load_scenario,
     loads_catalog,
     reference_table,
 )
@@ -169,10 +170,6 @@ class TestLoading:
         zealot = loads_catalog(ZEALOT_YAML.replace("health: 100", "health: 1" + "0" * 300))["zealot"]
         assert effective_health(zealot) == (10**300 + 50) * 1.5
 
-    def test_load_from_stream(self):
-        cat = load_catalog(io.StringIO(ZEALOT_YAML))
-        assert "zealot" in cat
-
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "units.yaml"
         path.write_text(ZEALOT_YAML)
@@ -190,8 +187,8 @@ class TestRoundTrip:
     def test_catalog_is_unequal_to_a_non_catalog(self, catalog):
         # NotImplemented lets the other operand answer, and Python falls
         # back to identity, so a catalog never equals a plain list or dict
-        assert catalog.__eq__(catalog.names()) is NotImplemented
-        assert catalog != catalog.names() and catalog != {}
+        assert catalog.__eq__(list(catalog)) is NotImplemented
+        assert catalog != list(catalog) and catalog != {}
 
 
 class TestDefaultCatalog:
@@ -232,7 +229,7 @@ seed: 42
         # what a PyYAML built without libyaml parses with
         parses = []
 
-        class PurePython(yaml.SafeLoader):
+        class PurePython(units._UniqueKeys, yaml.SafeLoader):
             def __init__(self, stream):
                 parses.append(stream)
                 super().__init__(stream)
@@ -245,3 +242,14 @@ seed: 42
         finally:
             units.bundled_yaml.cache_clear()
         assert len(parses) == 3
+
+    def test_pure_python_loader_rejects_a_repeated_key(self, monkeypatch, tmp_path):
+        # the CLI tests cover the chosen loader
+        monkeypatch.setattr(units, "_YAML_LOADER",
+                            type("PurePython", (units._UniqueKeys, yaml.SafeLoader), {}))
+        path = tmp_path / "battle.yaml"
+        path.write_text(self.SCENARIO + "trials: 60\n")
+        with pytest.raises(ScenarioError, match=r"found duplicate key 'trials'\s+in .+, line 10,"):
+            load_scenario(path, default_catalog())
+        with pytest.raises(CatalogError, match=r"found duplicate key 'dps'\s+in .+, line 14,"):
+            loads_catalog(ZEALOT_YAML + "  dps: 20.0\n")
