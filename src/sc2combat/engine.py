@@ -192,8 +192,10 @@ def compute_pool(attacker: ArmyState, defender: ArmyState,
 
     The DPS sum is memoized on the attacker, keyed by the contributing
     counts (melee ones read as 0 in a ranged-only opening round), for any
-    defender, model and round; a full memo (``_POOL_CACHE_ENTRIES``) keeps
-    its entries and sums other counts afresh."""
+    defender, model and round, the oracle's too; a full memo
+    (``_POOL_CACHE_ENTRIES``) keeps its entries and sums other counts
+    afresh. Sums run left to right, never compensated, so a memo hit is the
+    float a fresh sum gives."""
     ranged_only = model.ranged_first_round and is_first_round
     key = tuple(attacker.counts)
     if ranged_only:

@@ -212,7 +212,7 @@ def load_scenario(path: str | Path, catalog: UnitCatalog) -> Scenario:
         raise ScenarioError("scenario document must be a mapping")
     unknown = doc.keys() - {"army1", "army2", "model", "trials", "seed", "name"}
     if unknown:
-        raise ScenarioError(f"scenario has unknown keys: {sorted(unknown)}")
+        raise ScenarioError(f"scenario has unknown keys: {sorted(unknown, key=str)}")
     if "army1" not in doc or "army2" not in doc:
         raise ScenarioError("scenario must define army1 and army2")
     for key in ("name", "model", "trials", "seed"):

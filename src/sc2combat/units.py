@@ -44,6 +44,10 @@ class _UniqueKeys:
 # both build the same documents, and the C one parses the bundled files ~7x faster.
 _YAML_LOADER = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
+# The deepest a file from outside the package may nest collections; a
+# scenario or catalog needs 3.
+_MAX_DEPTH = 32
+
 
 class Race(enum.Enum):
     PROTOSS = "protoss"
@@ -56,6 +60,9 @@ def validated(cls):
     value, on every record it builds: by the constructor, ``_make``,
     ``_replace`` or unpickling. A NamedTuple body may not define ``__new__``,
     so this wraps the generated one, keeping its signature for ``help()``.
+    Records are NamedTuples, not dataclasses: ``import dataclasses`` loads
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each dataclass builds
+    its methods from generated source.
     """
     new = cls.__new__
 
@@ -225,7 +232,7 @@ def _parse_record(record: object) -> UnitClass:
     if missing:
         raise CatalogError(f"unit record missing keys: {sorted(missing)}")
     if unknown:
-        raise CatalogError(f"unit record has unknown keys: {sorted(unknown)}")
+        raise CatalogError(f"unit record has unknown keys: {sorted(unknown, key=str)}")
     _race(record["race"])  # an unknown race is reported before a bad list or value
     for key in ("attributes", "bonus_vs"):
         if not isinstance(record[key], list):
@@ -247,14 +254,39 @@ def parse_yaml(text: str, what: str, error: type[CombatError]) -> object:
         raise error(f"{what} is not valid YAML: {exc}") from exc
 
 
+def parse_plain_yaml(text: str, what: str, error: type[CombatError]) -> object:
+    """Parse YAML text from outside the package, which must be plain data: a
+    walk over the parser's events, stopping at the first offender, raises
+    ``error`` on an alias or a collection nested deeper than ``_MAX_DEPTH``
+    before any document is built. Aliases can grow a document, and a message
+    quoting it, exponentially; deep nesting overflows the recursive composers
+    (libyaml's crashes the process) and later ``repr`` and ``str`` calls."""
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    line = event.start_mark.line + 1
+                    raise error(f"{what} nests deeper than {_MAX_DEPTH} levels (line {line})")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+            elif isinstance(event, yaml.AliasEvent):
+                line = event.start_mark.line + 1
+                raise error(f"{what} uses a YAML alias (line {line}); it must be plain data")
+    except yaml.YAMLError as exc:
+        raise error(f"{what} is not valid YAML: {exc}") from exc
+    return parse_yaml(text, what, error)
+
+
 def read_yaml(path: str | Path, what: str, error: type[CombatError]) -> object:
-    """Read a UTF-8 YAML file and parse it; text that does not decode or
-    parse raises ``error``."""
+    """Read a UTF-8 YAML file and parse it as plain data (``parse_plain_yaml``);
+    text that does not decode or parse raises ``error``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8 text: {exc}") from exc
-    return parse_yaml(text, what, error)
+    return parse_plain_yaml(text, what, error)
 
 
 @functools.cache
@@ -284,8 +316,8 @@ def load_catalog(path: str | Path) -> UnitCatalog:
 
 
 def loads_catalog(text: str) -> UnitCatalog:
-    """Parse a catalog from YAML text."""
-    return _catalog_from(parse_yaml(text, "catalog", CatalogError))
+    """Parse a catalog from YAML text, as plain data (``parse_plain_yaml``)."""
+    return _catalog_from(parse_plain_yaml(text, "catalog", CatalogError))
 
 
 def _dumped(value: object) -> object:

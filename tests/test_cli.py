@@ -26,6 +26,14 @@ trials: 50
 seed: 42
 """
 
+# 100,000 nested lists, 200 KB
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# six levels, each listing the one before ten times: quoted in an error
+# message, the value took 5.8 million characters
+ALIASES = "[&a0 [x, x, x, x, x, x, x, x, x, x]" + "".join(
+    f", &a{level} [{', '.join([f'*a{level - 1}'] * 10)}]" for level in range(1, 6)) + "]"
+
 # a UTF-16 byte order mark: not UTF-8 text
 UNDECODABLE = b"\xff\xfe" + "army1: {}\n".encode("utf-16-le")
 
@@ -189,7 +197,8 @@ class TestMalformedInput:
         ("- army1: {zealot: 1}\n  army2: {marine: 1}\n", "scenario document must be a mapping"),
         ("army1: [zealot, stalker]\narmy2: {marine: 1}\n",
          "army1 must be a non-empty mapping of unit name -> count"),
-    ], ids=["list-document", "army1-list"])
+        (SCENARIO + "1: a\nfoo: b\n", "scenario has unknown keys: [1, 'foo']"),
+    ], ids=["list-document", "army1-list", "int-and-str-keys"])
     def test_bad_scenario(self, capsys, tmp_path, text, message):
         path = tmp_path / "battle.yaml"
         path.write_text(text)
@@ -201,7 +210,9 @@ class TestMalformedInput:
         (TINY_CATALOG.replace("[light, biological]", "light"), "zealot: attributes must be a list"),
         (TINY_CATALOG.replace("dps: 13.33", "dps: -1"), "zealot: DPS values must be non-negative"),
         (TINY_CATALOG.replace("name: zealot", 'name: ""'), "unit name must be non-empty"),
-    ], ids=["string-record", "string-attributes", "negative-dps", "empty-name"])
+        (TINY_CATALOG + "  7: x\n  extra: y\n", "unit record has unknown keys: [7, 'extra']"),
+    ], ids=["string-record", "string-attributes", "negative-dps", "empty-name",
+            "int-and-str-keys"])
     def test_bad_catalog(self, capsys, tmp_path, text, message):
         path = tmp_path / "tiny.yaml"
         path.write_text(text)
@@ -221,6 +232,29 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv, str(path))
         assert code == 1 and out == "" and err.startswith("error: ")
         assert re.search(rf"found duplicate key '{key}'\s+in .+, line {line},", err), err
+
+    @pytest.mark.parametrize("loader", ["chosen", "pure-python"])
+    @pytest.mark.parametrize("argv, text, message", [
+        (("run", "--scenario"), SCENARIO.replace("seed: 42", "seed: " + DEEP),
+         "scenario nests deeper than 32 levels (line 10)"),
+        (("list-units", "--catalog"), f"- {DEEP}\n", "catalog nests deeper than 32 levels (line 1)"),
+        (("run", "--scenario"), SCENARIO.replace("trials: 50", "trials: " + ALIASES),
+         "scenario uses a YAML alias (line 9); it must be plain data"),
+    ], ids=["deep-scenario", "deep-catalog", "alias-scenario"])
+    def test_hostile_file_is_data_error(self, tmp_path, loader, argv, text, message):
+        # in a child process, since libyaml's composer crashed the interpreter
+        # on deep nesting and the pure-Python one raised RecursionError
+        path = tmp_path / "data.yaml"
+        path.write_text(text)
+        code = "import sys, yaml\nfrom sc2combat import cli, units\n"
+        if loader == "pure-python":
+            code += ("units._YAML_LOADER = "
+                     "type('PurePython', (units._UniqueKeys, yaml.SafeLoader), {})\n")
+        code += f"sys.exit(cli.run_command({[*argv, str(path)]!r}))"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 class TestRun:

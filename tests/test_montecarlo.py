@@ -65,10 +65,6 @@ class TestTrialStreams:
         ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
                        model=ModelId.APX1, master_seed=seed % 2**64)
 
-    def test_streams_reproducible(self):
-        assert [trial_rng(9, 4).random() for _ in range(3)] == \
-               [trial_rng(9, 4).random() for _ in range(3)]
-
 
 class TestChunkStreams:
     def test_chunk_stream_serves_its_trials_in_order(self):
@@ -111,20 +107,6 @@ class TestRunExperiment:
         assert result.win2_count == 0
         assert abs(result.win1 - 0.5) <= three_sigma(0.5, spec.trials)
         assert abs(result.draw - 0.5) <= three_sigma(0.5, spec.trials)
-
-    def test_counts_sum_to_trials(self):
-        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
-                              model=ModelId.APX1, trials=500, master_seed=3)
-        result = run_experiment(spec, tiny_catalog())
-        assert result.win1_count + result.win2_count + result.draw_count == spec.trials
-        assert result.reported_win1 + result.reported_win2 == 1.0
-
-    def test_determinism_byte_identical(self):
-        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
-                              model=ModelId.APX4, trials=300, master_seed=17)
-        first = run_experiment(spec, tiny_catalog())
-        second = run_experiment(spec, tiny_catalog())
-        assert repr(first).encode() == repr(second).encode()
 
     def test_parallel_matches_serial(self):
         spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),

@@ -69,19 +69,6 @@ def test_melee_first_certain_order():
             assert survivors2[1] == 1 and prob == 0
 
 
-def test_mirror_symmetry():
-    u = make_unit("u", health=9, dps=4.0, ranged=True)
-    v = make_unit("v", health=14, dps=6.0)
-    comp = [(u, 2), (v, 1)]
-    for model in ModelId:
-        dist = enumerate_compositions(comp, comp, model)
-        for (winner, s1, s2), p in dist.outcomes.items():
-            mirror = {Winner.ARMY1: Winner.ARMY2,
-                      Winner.ARMY2: Winner.ARMY1,
-                      Winner.DRAW: Winner.DRAW}[winner]
-            assert dist.outcomes[(mirror, s2, s1)] == p
-
-
 def test_probabilities_sum_to_one():
     a = make_unit("a", health=7, dps=3.0, ranged=True, attrs=("light",))
     b = make_unit("b", health=11, dps=4.0, bonus=2.0, bonus_vs=("light",))
@@ -216,27 +203,6 @@ def test_repr_of_a_mid_sized_battle(catalog):
     text = repr(dist)
     assert text.startswith("ExactDistribution(as_floats={")
     assert all(isinstance(p, Fraction) for p in dist.outcomes.values())
-
-
-def test_degeneracy_spot_checks():
-    ranged_a = make_unit("ra", health=8, dps=3.0, ranged=True)
-    ranged_b = make_unit("rb", health=12, dps=5.0, ranged=True)
-    comp1, comp2 = [(ranged_a, 2)], [(ranged_b, 2)]
-    apx1 = enumerate_compositions(comp1, comp2, ModelId.APX1)
-    apx2 = enumerate_compositions(comp1, comp2, ModelId.APX2)
-    assert apx1.outcomes == apx2.outcomes
-
-    plain_a = make_unit("pa", health=8, dps=3.0, ranged=True)
-    plain_b = make_unit("pb", health=12, dps=5.0)
-    apx2 = enumerate_compositions([(plain_a, 2)], [(plain_b, 2)], ModelId.APX2)
-    apx3 = enumerate_compositions([(plain_a, 2)], [(plain_b, 2)], ModelId.APX3)
-    assert apx2.outcomes == apx3.outcomes
-
-    melee = make_unit("m", health=8, dps=3.0)
-    shooter = make_unit("r", health=12, dps=5.0, ranged=True)
-    apx3 = enumerate_compositions([(melee, 3)], [(shooter, 2)], ModelId.APX3)
-    apx4 = enumerate_compositions([(melee, 3)], [(shooter, 2)], ModelId.APX4)
-    assert apx3.outcomes == apx4.outcomes
 
 
 def _leaf_list_distribution(pool, army, counts, model):

@@ -253,3 +253,13 @@ seed: 42
             load_scenario(path, default_catalog())
         with pytest.raises(CatalogError, match=r"found duplicate key 'dps'\s+in .+, line 14,"):
             loads_catalog(ZEALOT_YAML + "  dps: 20.0\n")
+
+    def test_catalog_text_must_be_plain_data(self):
+        # loads_catalog walks the events as load_catalog does; the bundled files are trusted
+        with pytest.raises(CatalogError, match=r"^catalog uses a YAML alias \(line 2\)"):
+            loads_catalog("- &zealot {name: zealot}\n- *zealot\n")
+        # the document's list is the first level
+        with pytest.raises(CatalogError, match=r"^unit record must be a mapping, got list"):
+            loads_catalog("- " + "[" * 31 + "]" * 31)
+        with pytest.raises(CatalogError, match=r"^catalog nests deeper than 32 levels \(line 1\)"):
+            loads_catalog("- " + "[" * 32 + "]" * 32)
