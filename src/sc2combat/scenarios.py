@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .engine import ArmyState, ModelId
-from .errors import ScenarioError
+from .errors import ScenarioError, quoted
 from .units import Race, UnitCatalog, UnitClass, bundled_yaml, is_integer, read_yaml, validated
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
@@ -29,14 +29,14 @@ def count_problem(name: str, value: object) -> str | None:
     """Why ``value`` is no count of trials, jobs or units, or None if it is
     one: an int, not a bool, of at least 1. The reason names it ``name``."""
     valid = is_integer(value) and value >= 1
-    return None if valid else f"{name} must be an int >= 1, got {value!r}"
+    return None if valid else f"{name} must be an int >= 1, got {quoted(value)}"
 
 
 def seed_problem(name: str, value: object) -> str | None:
     """Why ``value`` is no master seed, or None if it is one: an int, not a
     bool, in ``[0, SEED_LIMIT)``. The reason names it ``name``."""
     valid = is_integer(value) and 0 <= value < SEED_LIMIT
-    return None if valid else f"{name} must be an int in [0, 2**64), got {value!r}"
+    return None if valid else f"{name} must be an int in [0, 2**64), got {quoted(value)}"
 
 
 @validated

@@ -5,44 +5,26 @@ hit points plus shields folded into a single health figure, armor as a
 multiplicative health scale, damage per second with the maximum potential
 area-of-effect folded in, a ranged flag, attribute tags, and bonus damage
 against tagged targets.
+
+The three bundled data files are read by ``_read_bundled``, which accepts
+only the small YAML subset they use and builds the documents PyYAML would.
+PyYAML parses only text from outside the package, a catalog or scenario,
+and is imported when the first such text is parsed: a command that reads
+no user file never loads it.
 """
 
 import enum
 import functools
 import math
+import re
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-import yaml
-
-from .errors import CatalogError, CombatError
+from .errors import CatalogError, CombatError, quoted
 
 # Each point of armor multiplies surviving power by this factor.
 ARMOR_HEALTH_FACTOR = 1.5
-
-
-class _UniqueKeys:
-    """A PyYAML loader mixin: a key repeated in one mapping is an error naming the key
-    and its line, where PyYAML keeps the last value. A ``<<`` merge's keys may be overridden."""
-
-    def construct_mapping(self, node, deep=False):
-        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep)  # rejects an unhashable key
-        seen = set()
-        for key_node in own:
-            key = self.construct_object(key_node)  # built above, so cached
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    f"found duplicate key {key!r}", key_node.start_mark)
-            seen.add(key)
-        return mapping
-
-
-# libyaml's C parser when PyYAML was built with it, else the pure-Python one;
-# both build the same documents, and the C one parses the bundled files ~7x faster.
-_YAML_LOADER = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 # The deepest a file from outside the package may nest collections; a
 # scenario or catalog needs 3.
@@ -166,7 +148,7 @@ def _race(value: object) -> Race:
     try:
         return Race(str(value).lower())
     except ValueError:
-        raise CatalogError(f"unknown race: {value!r}") from None
+        raise CatalogError(f"unknown race: {quoted(value)}") from None
 
 
 def _tags(values: list) -> frozenset[str]:
@@ -181,28 +163,28 @@ def is_integer(value: object) -> bool:
 def _integer(value: object) -> int:
     """A YAML integer, taken as it is: a float, bool or string is an error."""
     if not is_integer(value):
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {quoted(value)}")
     return value
 
 
 def _number(value: object) -> float:
     """A YAML integer or float as a float: a bool or string is an error."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {quoted(value)}")
     return float(value)
 
 
 def _boolean(value: object) -> bool:
     """A YAML bool, taken as it is: a string or number is an error."""
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+        raise ValueError(f"expected true or false, got {quoted(value)}")
     return value
 
 
 def _string(value: object) -> str:
     """A YAML string, taken as it is: a number or bool is an error."""
     if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
+        raise ValueError(f"expected a string, got {quoted(value)}")
     return value
 
 
@@ -246,12 +228,29 @@ def _parse_record(record: object) -> UnitClass:
     return UnitClass(**fields)
 
 
-def parse_yaml(text: str, what: str, error: type[CombatError]) -> object:
-    """Parse one YAML document; a syntax error raises ``error``."""
-    try:
-        return yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise error(f"{what} is not valid YAML: {exc}") from exc
+@functools.cache
+def _yaml_loader() -> type:
+    """PyYAML's safe loader, on libyaml's C parser when PyYAML was built with
+    it, else on the pure-Python one; both build the same documents. A key
+    repeated in one mapping is an error naming the key and its line, where
+    PyYAML keeps the last value. A ``<<`` merge's keys may be overridden."""
+    import yaml
+
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)  # rejects an unhashable key
+            seen = set()
+            for key_node in own:
+                key = self.construct_object(key_node)  # built above, so cached
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return mapping
+
+    return Loader
 
 
 def parse_plain_yaml(text: str, what: str, error: type[CombatError]) -> object:
@@ -260,10 +259,14 @@ def parse_plain_yaml(text: str, what: str, error: type[CombatError]) -> object:
     ``error`` on an alias or a collection nested deeper than ``_MAX_DEPTH``
     before any document is built. Aliases can grow a document, and a message
     quoting it, exponentially; deep nesting overflows the recursive composers
-    (libyaml's crashes the process) and later ``repr`` and ``str`` calls."""
+    (libyaml's crashes the process) and later ``repr`` and ``str`` calls.
+    Any other fault in the text raises ``error`` with a one-line message."""
+    import yaml
+
+    loader = _yaml_loader()
     depth = 0
     try:
-        for event in yaml.parse(text, Loader=_YAML_LOADER):
+        for event in yaml.parse(text, Loader=loader):
             if isinstance(event, yaml.CollectionStartEvent):
                 depth += 1
                 if depth > _MAX_DEPTH:
@@ -274,9 +277,15 @@ def parse_plain_yaml(text: str, what: str, error: type[CombatError]) -> object:
             elif isinstance(event, yaml.AliasEvent):
                 line = event.start_mark.line + 1
                 raise error(f"{what} uses a YAML alias (line {line}); it must be plain data")
-    except yaml.YAMLError as exc:
-        raise error(f"{what} is not valid YAML: {exc}") from exc
-    return parse_yaml(text, what, error)
+        return yaml.load(text, Loader=loader)
+    except yaml.MarkedYAMLError as exc:  # str(exc) spans up to four lines
+        mark = exc.problem_mark
+        raise error(f"{what} is not valid YAML (line {mark.line + 1}, "
+                    f"column {mark.column + 1}): {exc.problem}") from exc
+    except yaml.YAMLError as exc:  # a ReaderError: a character YAML does not allow
+        raise error(f"{what} is not valid YAML: {str(exc).splitlines()[0]}") from exc
+    except ValueError as exc:  # an impossible date, or an int past str()'s digit limit
+        raise error(f"{what} has a value that cannot be loaded: {exc}") from exc
 
 
 def read_yaml(path: str | Path, what: str, error: type[CombatError]) -> object:
@@ -289,12 +298,92 @@ def read_yaml(path: str | Path, what: str, error: type[CombatError]) -> object:
     return parse_plain_yaml(text, what, error)
 
 
+# One line of a bundled file: a block sequence item, or one more key of the
+# block mapping an item opened. A line's tokens: a flow indicator, ``": "``,
+# a scalar, or one character no other token takes (a ':' before a non-space).
+_LINE = re.compile(r"(- |  )(?! )(.*)")
+_TOKEN = re.compile(r" *([][{},]|: |[^][{},: ]+|.)")
+# A scalar: an int, a float, true or false, or a word that PyYAML reads as a
+# string, not as a bool or null in another spelling
+_SCALAR = re.compile(r"(0|[1-9][0-9]*)|([0-9]+\.[0-9]+)|(true|false)"
+                     r"|(?!(?i:yes|no|on|off|true|false|null)$)([A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _scalar(token: str) -> object:
+    match = _SCALAR.fullmatch(token)
+    if not match:
+        raise ValueError(f"{token!r} is no plain int, float, true, false or word")
+    return (int, float, "true".__eq__, str)[match.lastindex - 1](token)
+
+
+def _flow(tokens: list[str]) -> object:
+    """Take one value off ``tokens``, a line's tokens in reverse order."""
+    token = tokens.pop()
+    if token not in ("[", "{"):
+        return _scalar(token)
+    close, items = ("]", []) if token == "[" else ("}", {})
+    while tokens[-1] != close:
+        if items and tokens.pop() != ",":
+            raise ValueError(f"expected ',' or '{close}'")
+        if close == "]":
+            items.append(_flow(tokens))
+        else:
+            _put(tokens, items)
+    tokens.pop()
+    return items
+
+
+def _put(tokens: list[str], mapping: dict) -> None:
+    """Take one ``key: value`` pair off ``tokens`` into ``mapping``."""
+    key = _scalar(tokens.pop())
+    if tokens.pop() != ": ":
+        raise ValueError(f"expected ': ' after the key {key!r}")
+    if key in mapping:
+        raise ValueError(f"the key {key!r} is repeated")
+    mapping[key] = _flow(tokens)
+
+
+def _read_bundled(text: str, name: str) -> object:
+    """Parse a bundled data file, written in a YAML subset: a block sequence
+    whose items are one-line flow mappings, or block mappings of one
+    ``key: value`` per line; a value is a plain scalar or a one-line flow
+    collection. Any other text raises ``CombatError`` naming the line."""
+    doc, block = [], None
+    for number, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
+        try:
+            if not line.isprintable():
+                raise ValueError("a tab, a control character or a line break other than \\n")
+            line = line.split(" #", 1)[0].rstrip(" ")
+            if not line or line.startswith("#"):
+                continue
+            match = _LINE.fullmatch(line)
+            if not match:
+                raise ValueError("expected '- ' or a two-space indent")
+            tokens = _TOKEN.findall(match[2])[::-1]
+            if match[1] == "- ":
+                block = {} if tokens[-2:-1] == [": "] else None
+                if block is None and tokens[-1] != "{":
+                    raise ValueError("an item is no mapping")
+                doc.append(_flow(tokens) if block is None else block)
+            elif block is None:
+                raise ValueError("an indented line follows no block mapping")
+            if block is not None:
+                _put(tokens, block)
+            if tokens:
+                raise ValueError(f"unexpected {tokens[-1]!r}")
+        except (ValueError, IndexError) as exc:
+            reason = exc if isinstance(exc, ValueError) else "the line ends early"
+            raise CombatError(f"{name}, line {number}: outside the YAML subset "
+                              f"the package reads: {reason}") from None
+    return doc or None
+
+
 @functools.cache
 def bundled_yaml(name: str) -> object:
     """A bundled data file, parsed once per process. The document is shared:
     callers build new objects from it and never mutate it."""
     text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
-    return parse_yaml(text, name, CombatError)
+    return _read_bundled(text, name)
 
 
 def _catalog_from(doc: object) -> UnitCatalog:
@@ -328,6 +417,8 @@ def _dumped(value: object) -> object:
 
 def dumps_catalog(catalog: UnitCatalog) -> str:
     """Serialize a catalog back to YAML; loads_catalog round-trips it."""
+    import yaml
+
     records = [{key: _dumped(getattr(unit, field)) for key, field, _ in _RECORD_FIELDS}
                for unit in catalog]
     return yaml.safe_dump(records, sort_keys=False)

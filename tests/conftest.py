@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import settings
 
-from sc2combat import Race, UnitClass, default_catalog
+from sc2combat import Race, UnitClass, default_catalog, units
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -33,3 +33,17 @@ def sha256(text: str) -> str:
 def catalog():
     return default_catalog()
 
+
+@pytest.fixture
+def yaml_base(request, monkeypatch):
+    """Build PyYAML's loader for user files, for this test, on the base named by
+    the indirect parameter: "chosen" (libyaml's C parser where PyYAML has it) or,
+    by default, "pure-python", the parser of a PyYAML built without libyaml."""
+    import yaml
+
+    base = getattr(request, "param", "pure-python")
+    if base == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    units._yaml_loader.cache_clear()
+    yield base
+    units._yaml_loader.cache_clear()

@@ -13,6 +13,7 @@ import pytest
 from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_catalog,
                        find_matchup, report, reference_table, run_experiment, run_experiments)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
+from sc2combat.errors import QUOTE_LIMIT
 
 SCENARIO = """
 army1:
@@ -33,6 +34,9 @@ DEEP = "[" * 100_000 + "]" * 100_000
 # message, the value took 5.8 million characters
 ALIASES = "[&a0 [x, x, x, x, x, x, x, x, x, x]" + "".join(
     f", &a{level} [{', '.join([f'*a{level - 1}'] * 10)}]" for level in range(1, 6)) + "]"
+
+# a flow list of 50,000 ones, 150 KB: quoted whole, an error line took 150,040 bytes
+LONG_LIST = "[" + ", ".join(["1"] * 50_000) + "]"
 
 # a UTF-16 byte order mark: not UTF-8 text
 UNDECODABLE = b"\xff\xfe" + "army1: {}\n".encode("utf-16-le")
@@ -198,7 +202,9 @@ class TestMalformedInput:
         ("army1: [zealot, stalker]\narmy2: {marine: 1}\n",
          "army1 must be a non-empty mapping of unit name -> count"),
         (SCENARIO + "1: a\nfoo: b\n", "scenario has unknown keys: [1, 'foo']"),
-    ], ids=["list-document", "army1-list", "int-and-str-keys"])
+        (SCENARIO + "name: 2001-13-45\n",
+         "scenario has a value that cannot be loaded: month must be in 1..12"),
+    ], ids=["list-document", "army1-list", "int-and-str-keys", "impossible-date"])
     def test_bad_scenario(self, capsys, tmp_path, text, message):
         path = tmp_path / "battle.yaml"
         path.write_text(text)
@@ -230,8 +236,20 @@ class TestMalformedInput:
         path = tmp_path / "data.yaml"
         path.write_text(text)
         code, out, err = run_cli(capsys, *argv, str(path))
-        assert code == 1 and out == "" and err.startswith("error: ")
-        assert re.search(rf"found duplicate key '{key}'\s+in .+, line {line},", err), err
+        assert code == 1 and out == ""
+        assert re.fullmatch(rf"error: \w+ is not valid YAML \(line {line}, column \d+\): "
+                            rf"found duplicate key '{key}'\n", err), err
+
+    @pytest.mark.parametrize("yaml_base", ["chosen", "pure-python"], indirect=True)
+    @pytest.mark.parametrize("argv, what", [
+        (("run", "--scenario"), "scenario"), (("list-units", "--catalog"), "catalog"),
+    ], ids=["scenario", "catalog"])
+    def test_syntax_error_is_one_error_line(self, capsys, tmp_path, yaml_base, argv, what):
+        # PyYAML's own message spans four lines and names no file
+        path = tmp_path / "data.yaml"
+        path.write_text("{unclosed\n")
+        assert_one_error_line(run_cli(capsys, *argv, str(path)),
+                              f"error: {what} is not valid YAML (line 2, column 1): ")
 
     @pytest.mark.parametrize("loader", ["chosen", "pure-python"])
     @pytest.mark.parametrize("argv, text, message", [
@@ -240,21 +258,26 @@ class TestMalformedInput:
         (("list-units", "--catalog"), f"- {DEEP}\n", "catalog nests deeper than 32 levels (line 1)"),
         (("run", "--scenario"), SCENARIO.replace("trials: 50", "trials: " + ALIASES),
          "scenario uses a YAML alias (line 9); it must be plain data"),
-    ], ids=["deep-scenario", "deep-catalog", "alias-scenario"])
+        (("run", "--scenario"), SCENARIO.replace("trials: 50", f"trials: {LONG_LIST}"),
+         f"trials must be an int >= 1, got {LONG_LIST[:QUOTE_LIMIT]}..."),
+    ], ids=["deep-scenario", "deep-catalog", "alias-scenario", "long-trials"])
     def test_hostile_file_is_data_error(self, tmp_path, loader, argv, text, message):
         # in a child process, since libyaml's composer crashed the interpreter
         # on deep nesting and the pure-Python one raised RecursionError
         path = tmp_path / "data.yaml"
         path.write_text(text)
         code = "import sys, yaml\nfrom sc2combat import cli, units\n"
-        if loader == "pure-python":
-            code += ("units._YAML_LOADER = "
-                     "type('PurePython', (units._UniqueKeys, yaml.SafeLoader), {})\n")
-        code += f"sys.exit(cli.run_command({[*argv, str(path)]!r}))"
+        if loader == "pure-python":  # as a PyYAML built without libyaml has it
+            code += "vars(yaml).pop('CSafeLoader', None)\n"
+        code += f"status = cli.run_command({[*argv, str(path)]!r})\n"
+        if loader == "pure-python":  # the run reached PyYAML's pure-Python parser
+            code += "assert issubclass(units._yaml_loader(), yaml.parser.Parser)\n"
+        code += "sys.exit(status)"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+        assert len(proc.stderr) < 300
 
 
 class TestRun:
@@ -501,22 +524,35 @@ class TestWorkerPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert run_cli(capsys, *argv, "--jobs", "2") == serial
 
-    def test_cli_import_loads_no_pool_machinery(self):
+    def test_cli_import_loads_no_pool_machinery(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
-        code = ("import sys, sc2combat.cli; "
+        scenario = tmp_path / "battle.yaml"
+        scenario.write_text("army1: {zealot: 2}\narmy2: {marine: 3}\n")
+        code = ("import contextlib, io, sys, sc2combat.cli\n"
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
                 "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json', 'dataclasses') "
-                "if m in sys.modules))")
+                "if m in sys.modules))\n"
+                "from sc2combat import builtin_matchups, default_catalog, reference_table\n"
+                "default_catalog(), builtin_matchups(), reference_table()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert sc2combat.cli.run_command(['mae']) == 0\n"
+                "    assert sc2combat.cli.run_command(['list-units']) == 0\n"
+                "    loaded = ['yaml' in sys.modules]\n"
+                f"    assert sc2combat.cli.run_command(['run', '--scenario', {str(scenario)!r},"
+                " '--trials', '5']) == 0\n"
+                "print(loaded + ['yaml' in sys.modules])")
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=60)
-        pools, deferred = proc.stdout.splitlines()
+        pools, deferred, yaml_loaded = proc.stdout.splitlines()
         assert pools == "[]"
         # the exact oracle and the CSV/JSON renderers import the first four
         # when called, so a command that skips them never loads them; the
         # records are NamedTuples, so no module imports dataclasses
         assert deferred == "[]"
+        # the package reads its bundled files itself: PyYAML loads for a user's file only
+        assert yaml_loaded == "[False, True]"
 
     def test_commands_never_load_openssl(self):
         # a fresh interpreter, since pytest itself imports hashlib: the chunk

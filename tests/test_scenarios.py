@@ -120,10 +120,9 @@ class TestBundledDataCache:
     def parsed(self, monkeypatch):
         """The names of the documents parsed from here on, with a cold cache."""
         names = []
-        original = units.parse_yaml
-        monkeypatch.setattr(units, "parse_yaml",
-                            lambda text, what, error: names.append(what)
-                            or original(text, what, error))
+        original = units._read_bundled
+        monkeypatch.setattr(units, "_read_bundled",
+                            lambda text, name: names.append(name) or original(text, name))
         units.bundled_yaml.cache_clear()
         return names
 

@@ -7,6 +7,7 @@ import yaml
 import sc2combat.units as units
 from sc2combat import (
     CatalogError,
+    CombatError,
     Race,
     ScenarioError,
     UnitCatalog,
@@ -123,7 +124,8 @@ class TestLoading:
             loads_catalog(ZEALOT_YAML.replace("protoss", "xelnaga"))
 
     def test_not_yaml(self):
-        with pytest.raises(CatalogError, match="^catalog is not valid YAML: "):
+        with pytest.raises(CatalogError,
+                           match=r"^catalog is not valid YAML \(line \d+, column \d+\): "):
             loads_catalog("{unclosed")
 
     def test_not_a_list(self):
@@ -216,46 +218,69 @@ seed: 42
 
     @pytest.mark.parametrize("name", ["units.yaml", "matchups.yaml", "reference_table.yaml"])
     def test_chosen_loader_matches_pure_python_on_bundled_files(self, name):
+        # the package reads its own files itself, and builds PyYAML's documents,
+        # types included; so a data file edited out of the reader's subset fails here
         text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
-        chosen = yaml.load(text, Loader=units._YAML_LOADER)
-        assert chosen == yaml.load(text, Loader=yaml.SafeLoader)
+        doc = repr(units.bundled_yaml(name))
+        assert doc == repr(yaml.load(text, Loader=yaml.SafeLoader))
+        if hasattr(yaml, "CSafeLoader"):
+            assert doc == repr(yaml.load(text, Loader=yaml.CSafeLoader))
 
     def test_chosen_loader_matches_pure_python_on_a_scenario(self):
-        doc = yaml.load(self.SCENARIO, Loader=units._YAML_LOADER)
+        doc = yaml.load(self.SCENARIO, Loader=units._yaml_loader())
         assert doc == yaml.load(self.SCENARIO, Loader=yaml.SafeLoader)
         assert doc["army1"] == {"zealot": 8, "stalker": 2}
 
-    def test_pure_python_loader_gives_the_same_bundled_data(self, monkeypatch):
-        # what a PyYAML built without libyaml parses with
+    def test_pure_python_loader_gives_the_same_bundled_data(self, monkeypatch, yaml_base):
+        # what a PyYAML built without libyaml parses the bundled files to
         parses = []
 
-        class PurePython(units._UniqueKeys, yaml.SafeLoader):
-            def __init__(self, stream):
-                parses.append(stream)
-                super().__init__(stream)
+        def pure_python(text, name):
+            parses.append(name)
+            return units.parse_plain_yaml(text, name, CombatError)
 
         expected = default_catalog(), builtin_matchups(), reference_table()
-        monkeypatch.setattr(units, "_YAML_LOADER", PurePython)
+        monkeypatch.setattr(units, "_read_bundled", pure_python)
         units.bundled_yaml.cache_clear()
         try:
             assert (default_catalog(), builtin_matchups(), reference_table()) == expected
         finally:
             units.bundled_yaml.cache_clear()
-        assert len(parses) == 3
+        assert len(parses) == 3 and issubclass(units._yaml_loader(), yaml.parser.Parser)
 
-    def test_pure_python_loader_rejects_a_repeated_key(self, monkeypatch, tmp_path):
+    def test_pure_python_loader_rejects_a_repeated_key(self, tmp_path, yaml_base):
         # the CLI tests cover the chosen loader
-        monkeypatch.setattr(units, "_YAML_LOADER",
-                            type("PurePython", (units._UniqueKeys, yaml.SafeLoader), {}))
         path = tmp_path / "battle.yaml"
         path.write_text(self.SCENARIO + "trials: 60\n")
-        with pytest.raises(ScenarioError, match=r"found duplicate key 'trials'\s+in .+, line 10,"):
+        with pytest.raises(ScenarioError, match=r"^scenario is not valid YAML "
+                           r"\(line 10, column 1\): found duplicate key 'trials'$"):
             load_scenario(path, default_catalog())
-        with pytest.raises(CatalogError, match=r"found duplicate key 'dps'\s+in .+, line 14,"):
+        with pytest.raises(CatalogError, match=r"^catalog is not valid YAML "
+                           r"\(line 14, column 3\): found duplicate key 'dps'$"):
             loads_catalog(ZEALOT_YAML + "  dps: 20.0\n")
+        assert issubclass(units._yaml_loader(), yaml.parser.Parser)
+
+    @pytest.mark.parametrize("text, line", [
+        ("- {name: 'zealot'}\n", 2),
+        ("- name: &unit zealot\n", 2),
+        ("- name: zealot\n  notes: |\n    from the wiki\n", 3),
+        ("- {round: 1,\n   type: Test}\n", 2),
+        ("- name: zealot\n  attributes: [light, [biological]\n", 3),
+        ("- {ranged: yes}\n", 2),
+        ("- {health: 010}\n", 2),
+        ("- {race:protoss}\n", 2),
+    ], ids=["quoted-scalar", "anchor", "block-scalar", "flow-mapping-over-two-lines",
+            "unbalanced-bracket", "yaml-1.1-bool", "octal-int", "colon-without-space"])
+    def test_reader_rejects_text_outside_its_subset(self, text, line):
+        # all but the unbalanced bracket are YAML that PyYAML reads, the last three as
+        # True, 8 and the key 'race:protoss'; the reader refuses them, never guesses
+        with pytest.raises(CombatError,
+                           match=rf"^units\.yaml, line {line}: outside the YAML subset"):
+            units._read_bundled("# a comment\n" + text, "units.yaml")
 
     def test_catalog_text_must_be_plain_data(self):
-        # loads_catalog walks the events as load_catalog does; the bundled files are trusted
+        # loads_catalog walks the events as load_catalog does; the bundled files go
+        # through the package's own reader instead
         with pytest.raises(CatalogError, match=r"^catalog uses a YAML alias \(line 2\)"):
             loads_catalog("- &zealot {name: zealot}\n- *zealot\n")
         # the document's list is the first level
