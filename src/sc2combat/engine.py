@@ -50,7 +50,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import StalemateError
+from .errors import StalemateError, quoted
 from .units import UnitClass, effective_bonus_dps, effective_dps, effective_health, is_integer
 
 # Entries one round-pool cache holds; a full cache stops growing. Bounds the
@@ -77,7 +77,7 @@ class ModelId(enum.Enum):
         try:
             return cls[text.strip().upper()]
         except KeyError:
-            raise ValueError(f"unknown model: {text!r} (expected apx1..apx4)") from None
+            raise ValueError(f"unknown model: {quoted(text)} (expected apx1..apx4)") from None
 
 
 class Winner(enum.Enum):

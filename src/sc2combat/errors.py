@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Iterable
+
 
 class CombatError(Exception):
     """Base class for all sc2combat errors."""
@@ -26,7 +28,19 @@ class EnumerationLimitError(CombatError):
 QUOTE_LIMIT = 80
 
 
-def quoted(value: object) -> str:
-    """``repr(value)``, cut to ``QUOTE_LIMIT`` characters plus "..." when longer."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """``text``, cut to ``QUOTE_LIMIT`` characters plus "..." when longer."""
     return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
+def quoted(value: object) -> str:
+    """``repr(value)``, cut as ``cut`` does."""
+    return cut(repr(value))
+
+
+def listed(values: Iterable) -> str:
+    """``values`` sorted by their text as a quoted list, followed by their
+    count when the quote is cut."""
+    values = sorted(values, key=str)
+    text = quoted(values)
+    return text if len(text) <= QUOTE_LIMIT else f"{text} ({len(values)} in all)"

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .engine import ArmyState, ModelId
-from .errors import ScenarioError, quoted
+from .errors import ScenarioError, listed, quoted
 from .units import Race, UnitCatalog, UnitClass, bundled_yaml, is_integer, read_yaml, validated
 
 PAIRINGS = ("PvT", "TvZ", "PvZ")
@@ -54,7 +54,7 @@ class MatchupSpec(NamedTuple):
             if not army:
                 raise ScenarioError(f"{side} must contain at least one unit entry")
             for unit_name, count in army:
-                if reason := count_problem(f"{side} count for {unit_name!r}", count):
+                if reason := count_problem(f"{side} count for {quoted(unit_name)}", count):
                     raise ScenarioError(reason)
         if self.pairing is not None and self.pairing not in PAIRINGS:
             raise ScenarioError(f"unknown pairing: {self.pairing!r}")
@@ -115,10 +115,10 @@ def resolve_matchup(matchup: MatchupSpec, catalog: UnitCatalog
     for army, race, comp in ((matchup.army1, race1, comp1), (matchup.army2, race2, comp2)):
         for name, count in army:
             if name not in catalog:
-                raise ScenarioError(f"unknown unit name: {name!r}")
+                raise ScenarioError(f"unknown unit name: {quoted(name)}")
             unit = catalog[name]
             if race is not None and unit.race is not race:
-                raise ScenarioError(f"{name!r} is {unit.race.value}, expected {race.value}")
+                raise ScenarioError(f"{quoted(name)} is {unit.race.value}, expected {race.value}")
             comp.append((unit, count))
     return comp1, comp2
 
@@ -203,21 +203,18 @@ def load_scenario(path: str | Path, catalog: UnitCatalog) -> Scenario:
     """Load a user scenario file and resolve it against the catalog.
 
     The document holds ``army1`` and ``army2`` mappings of unit name to
-    count, plus optional ``model``, ``trials``, ``seed`` and ``name`` keys.
-    None of the optional keys may be null; a non-null ``name`` is kept in
-    its ``str()`` form.
+    count, plus optional ``model``, ``trials``, ``seed`` and ``name`` keys; a
+    ``name`` is kept in its ``str()`` form. The file is read as
+    ``units.parse_yaml`` states, which never yields a null value.
     """
     doc = read_yaml(path, "scenario", ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     unknown = doc.keys() - {"army1", "army2", "model", "trials", "seed", "name"}
     if unknown:
-        raise ScenarioError(f"scenario has unknown keys: {sorted(unknown, key=str)}")
+        raise ScenarioError(f"scenario has unknown keys: {listed(unknown)}")
     if "army1" not in doc or "army2" not in doc:
         raise ScenarioError("scenario must define army1 and army2")
-    for key in ("name", "model", "trials", "seed"):
-        if key in doc and doc[key] is None:
-            raise ScenarioError(f"{key} must not be null")
     matchup = MatchupSpec(
         army1=_parse_army(doc["army1"], "army1"),
         army2=_parse_army(doc["army2"], "army2"),

@@ -6,11 +6,10 @@ multiplicative health scale, damage per second with the maximum potential
 area-of-effect folded in, a ranged flag, attribute tags, and bonus damage
 against tagged targets.
 
-The three bundled data files are read by ``_read_bundled``, which accepts
-only the small YAML subset they use and builds the documents PyYAML would.
-PyYAML parses only text from outside the package, a catalog or scenario,
-and is imported when the first such text is parsed: a command that reads
-no user file never loads it.
+Every data file, the three bundled ones and a user's catalog or scenario,
+is read by ``parse_yaml``. It accepts only a small YAML subset, builds the
+document PyYAML would, and names the line of any other text; the package
+has no runtime dependency. ``dumps_catalog`` writes the same subset.
 """
 
 import enum
@@ -21,14 +20,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import CatalogError, CombatError, quoted
+from .errors import CatalogError, CombatError, cut, listed, quoted
 
 # Each point of armor multiplies surviving power by this factor.
 ARMOR_HEALTH_FACTOR = 1.5
-
-# The deepest a file from outside the package may nest collections; a
-# scenario or catalog needs 3.
-_MAX_DEPTH = 32
 
 
 class Race(enum.Enum):
@@ -79,24 +74,25 @@ class UnitClass(NamedTuple):
     def _check(self) -> None:
         if not self.name:
             raise CatalogError("unit name must be non-empty")
+        name = cut(str(self.name))
         try:  # a NaN or infinite stat, or a product past the largest float
             finite = all(math.isfinite(stat) for stat in (
                 effective_health(self), effective_dps(self), effective_bonus_dps(self)))
         except OverflowError:
             finite = False
         if not finite:
-            raise CatalogError(f"{self.name}: effective health and DPS must be finite")
+            raise CatalogError(f"{name}: effective health and DPS must be finite")
         if self.base_health < 0 or self.shields < 0 or self.armor < 0:
-            raise CatalogError(f"{self.name}: health, shields and armor must be non-negative")
+            raise CatalogError(f"{name}: health, shields and armor must be non-negative")
         if self.base_health + self.shields <= 0:
-            raise CatalogError(f"{self.name}: health + shields must be positive")
+            raise CatalogError(f"{name}: health + shields must be positive")
         if self.base_dps < 0 or self.bonus_base_dps < 0:
-            raise CatalogError(f"{self.name}: DPS values must be non-negative")
+            raise CatalogError(f"{name}: DPS values must be non-negative")
         if self.aoe_area < 1 or self.bonus_aoe_area < 1:
-            raise CatalogError(f"{self.name}: area multipliers must be >= 1")
+            raise CatalogError(f"{name}: area multipliers must be >= 1")
         if bool(self.bonus_vs) != (self.bonus_base_dps > 0):
             raise CatalogError(
-                f"{self.name}: bonus_vs must be non-empty exactly when bonus_dps > 0"
+                f"{name}: bonus_vs must be non-empty exactly when bonus_dps > 0"
             )
 
 
@@ -122,7 +118,7 @@ class UnitCatalog:
         entries: dict[str, UnitClass] = {}
         for unit in units:
             if unit.name in entries:
-                raise CatalogError(f"duplicate unit name: {unit.name}")
+                raise CatalogError(f"duplicate unit name: {cut(str(unit.name))}")
             entries[unit.name] = unit
         self._entries = entries
 
@@ -214,168 +210,142 @@ def _parse_record(record: object) -> UnitClass:
     if missing:
         raise CatalogError(f"unit record missing keys: {sorted(missing)}")
     if unknown:
-        raise CatalogError(f"unit record has unknown keys: {sorted(unknown, key=str)}")
+        raise CatalogError(f"unit record has unknown keys: {listed(unknown)}")
     _race(record["race"])  # an unknown race is reported before a bad list or value
+    name = cut(str(record["name"]))
     for key in ("attributes", "bonus_vs"):
         if not isinstance(record[key], list):
-            raise CatalogError(f"{record['name']}: {key} must be a list")
+            raise CatalogError(f"{name}: {key} must be a list")
     fields = {}
     for key, field, convert in _RECORD_FIELDS:
         try:
             fields[field] = convert(record[key])
         except (ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
-            raise CatalogError(f"{record['name']}: bad {key} value ({exc})") from exc
+            raise CatalogError(f"{name}: bad {key} value ({exc})") from exc
     return UnitClass(**fields)
 
 
-@functools.cache
-def _yaml_loader() -> type:
-    """PyYAML's safe loader, on libyaml's C parser when PyYAML was built with
-    it, else on the pure-Python one; both build the same documents. A key
-    repeated in one mapping is an error naming the key and its line, where
-    PyYAML keeps the last value. A ``<<`` merge's keys may be overridden."""
-    import yaml
-
-    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-        def construct_mapping(self, node, deep=False):
-            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-            mapping = super().construct_mapping(node, deep)  # rejects an unhashable key
-            seen = set()
-            for key_node in own:
-                key = self.construct_object(key_node)  # built above, so cached
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
-            return mapping
-
-    return Loader
-
-
-def parse_plain_yaml(text: str, what: str, error: type[CombatError]) -> object:
-    """Parse YAML text from outside the package, which must be plain data: a
-    walk over the parser's events, stopping at the first offender, raises
-    ``error`` on an alias or a collection nested deeper than ``_MAX_DEPTH``
-    before any document is built. Aliases can grow a document, and a message
-    quoting it, exponentially; deep nesting overflows the recursive composers
-    (libyaml's crashes the process) and later ``repr`` and ``str`` calls.
-    Any other fault in the text raises ``error`` with a one-line message."""
-    import yaml
-
-    loader = _yaml_loader()
-    depth = 0
-    try:
-        for event in yaml.parse(text, Loader=loader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    line = event.start_mark.line + 1
-                    raise error(f"{what} nests deeper than {_MAX_DEPTH} levels (line {line})")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-            elif isinstance(event, yaml.AliasEvent):
-                line = event.start_mark.line + 1
-                raise error(f"{what} uses a YAML alias (line {line}); it must be plain data")
-        return yaml.load(text, Loader=loader)
-    except yaml.MarkedYAMLError as exc:  # str(exc) spans up to four lines
-        mark = exc.problem_mark
-        raise error(f"{what} is not valid YAML (line {mark.line + 1}, "
-                    f"column {mark.column + 1}): {exc.problem}") from exc
-    except yaml.YAMLError as exc:  # a ReaderError: a character YAML does not allow
-        raise error(f"{what} is not valid YAML: {str(exc).splitlines()[0]}") from exc
-    except ValueError as exc:  # an impossible date, or an int past str()'s digit limit
-        raise error(f"{what} has a value that cannot be loaded: {exc}") from exc
-
-
-def read_yaml(path: str | Path, what: str, error: type[CombatError]) -> object:
-    """Read a UTF-8 YAML file and parse it as plain data (``parse_plain_yaml``);
-    text that does not decode or parse raises ``error``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} is not UTF-8 text: {exc}") from exc
-    return parse_plain_yaml(text, what, error)
-
-
-# One line of a bundled file: a block sequence item, or one more key of the
-# block mapping an item opened. A line's tokens: a flow indicator, ``": "``,
-# a scalar, or one character no other token takes (a ':' before a non-space).
-_LINE = re.compile(r"(- |  )(?! )(.*)")
-_TOKEN = re.compile(r" *([][{},]|: |[^][{},: ]+|.)")
-# A scalar: an int, a float, true or false, or a word that PyYAML reads as a
+# A line's tokens: a flow indicator, ": " after a non-space, a scalar, or one
+# character no other token takes (such as a ':' before a non-space)
+_TOKEN = re.compile(r" *([][{},]|(?<! ): |[^][{},: ]+|[^ ])")
+# A scalar: an int, a float, true or false, or a word that YAML reads as a
 # string, not as a bool or null in another spelling
-_SCALAR = re.compile(r"(0|[1-9][0-9]*)|([0-9]+\.[0-9]+)|(true|false)"
+_SCALAR = re.compile(r"(-?(?:0|[1-9][0-9]*))|(-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?)|(true|false)"
                      r"|(?!(?i:yes|no|on|off|true|false|null)$)([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _scalar(token: str) -> object:
     match = _SCALAR.fullmatch(token)
     if not match:
-        raise ValueError(f"{token!r} is no plain int, float, true, false or word")
+        raise ValueError(f"{quoted(token)} is no plain int, float, true, false or word")
     return (int, float, "true".__eq__, str)[match.lastindex - 1](token)
 
 
-def _flow(tokens: list[str]) -> object:
-    """Take one value off ``tokens``, a line's tokens in reverse order."""
+def _value(tokens: list[str], depth: int = 2) -> object:
+    """Take one value off ``tokens``, a line's tokens in reverse order: a
+    scalar or a flow collection, nested at most ``depth`` levels."""
     token = tokens.pop()
-    if token not in ("[", "{"):
+    if not depth or token not in ("[", "{"):
         return _scalar(token)
     close, items = ("]", []) if token == "[" else ("}", {})
     while tokens[-1] != close:
         if items and tokens.pop() != ",":
             raise ValueError(f"expected ',' or '{close}'")
         if close == "]":
-            items.append(_flow(tokens))
+            items.append(_value(tokens, depth - 1))
         else:
-            _put(tokens, items)
+            _put(tokens, items, depth - 1)
     tokens.pop()
     return items
 
 
-def _put(tokens: list[str], mapping: dict) -> None:
-    """Take one ``key: value`` pair off ``tokens`` into ``mapping``."""
-    key = _scalar(tokens.pop())
-    if tokens.pop() != ": ":
-        raise ValueError(f"expected ': ' after the key {key!r}")
+def _put(tokens: list[str], mapping: dict, depth: int = 2) -> object:
+    """Take one ``key: value`` pair off ``tokens`` into ``mapping``. A key
+    that ends a block line is returned instead: the block under it holds its
+    value."""
+    token = tokens.pop()
+    key = _scalar(token)
+    if tokens.pop() != ": " or len(token) > 1024:  # YAML's longest key on one line
+        raise ValueError(f"expected ': ' right after the key {quoted(key)}, "
+                         "within 1024 characters")
     if key in mapping:
-        raise ValueError(f"the key {key!r} is repeated")
-    mapping[key] = _flow(tokens)
+        raise ValueError(f"the key {quoted(key)} is repeated")
+    if not tokens and depth == 2:
+        return key
+    mapping[key] = _value(tokens, depth)
 
 
-def _read_bundled(text: str, name: str) -> object:
-    """Parse a bundled data file, written in a YAML subset: a block sequence
-    whose items are one-line flow mappings, or block mappings of one
-    ``key: value`` per line; a value is a plain scalar or a one-line flow
-    collection. Any other text raises ``CombatError`` naming the line."""
-    doc, block = [], None
-    for number, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
-        try:
+def parse_yaml(text: str, what: str, error: type[CombatError]) -> object:
+    """Parse a data file written in the YAML subset the package reads into
+    the document YAML builds; any other text raises ``error`` naming ``what``
+    and the line. No rule recurses on the input, so a document nests at most
+    five levels: a sequence of mappings of blocks of two-level flow values.
+
+    The document is a block sequence or a block mapping at column 0. A
+    sequence item is a one-line value, or a block mapping whose first
+    ``key: value`` is on the ``- `` line and the rest indented two spaces.
+    A one-line value is a plain scalar, or a flow collection of those or of
+    flow collections of plain scalars. A key with no value opens a block of
+    one-line values on the next lines: a mapping indented two spaces more,
+    or a sequence at the key's indent.
+    """
+    # keys: (column, mapping) of the block mapping a key line may extend;
+    # opened: (column, mapping, key, line) of the key whose block is read
+    doc = keys = opened = None
+    try:
+        for number, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
             if not line.isprintable():
                 raise ValueError("a tab, a control character or a line break other than \\n")
             line = line.split(" #", 1)[0].rstrip(" ")
-            if not line or line.startswith("#"):
+            body = line.lstrip(" ")
+            if not body or body[0] == "#":
                 continue
-            match = _LINE.fullmatch(line)
-            if not match:
-                raise ValueError("expected '- ' or a two-space indent")
-            tokens = _TOKEN.findall(match[2])[::-1]
-            if match[1] == "- ":
-                block = {} if tokens[-2:-1] == [": "] else None
-                if block is None and tokens[-1] != "{":
-                    raise ValueError("an item is no mapping")
-                doc.append(_flow(tokens) if block is None else block)
-            elif block is None:
-                raise ValueError("an indented line follows no block mapping")
-            if block is not None:
-                _put(tokens, block)
+            column, item = len(line) - len(body), body[:2] == "- " and body[2] != " "
+            tokens = _TOKEN.findall(f"{body[2:] if item else body} ")[::-1]  # " " ends a key
+            if opened and column == opened[0] + (0 if item else 2):  # in the key's block
+                nest = opened[1].setdefault(opened[2], [] if item else {})
+                if isinstance(nest, list) != item:
+                    raise ValueError("a block mixes '- ' items and keys")
+                if item:
+                    nest.append(_value(tokens))
+                elif _put(tokens, nest) is not None:
+                    raise ValueError("a key in a block has no value")
+            else:
+                if opened and opened[2] not in opened[1]:
+                    break
+                if doc is None:
+                    doc = [] if item else {}
+                    keys = None if item else (0, doc)
+                if item and column == 0 and isinstance(doc, list):  # an item of the document
+                    mapping = {} if tokens[-2:-1] == [": "] else None
+                    doc.append(_value(tokens) if mapping is None else mapping)
+                    keys = None if mapping is None else (2, mapping)
+                elif not item and keys and column == keys[0]:  # a key of a block mapping
+                    mapping = keys[1]
+                else:
+                    raise ValueError("a '- ' item or key out of place")
+                key = None if mapping is None else _put(tokens, mapping)
+                opened = None if key is None else (keys[0], mapping, key, number)
             if tokens:
-                raise ValueError(f"unexpected {tokens[-1]!r}")
-        except (ValueError, IndexError) as exc:
-            reason = exc if isinstance(exc, ValueError) else "the line ends early"
-            raise CombatError(f"{name}, line {number}: outside the YAML subset "
-                              f"the package reads: {reason}") from None
-    return doc or None
+                raise ValueError(f"unexpected {quoted(tokens[-1])}")
+        if opened and opened[2] not in opened[1]:
+            number = opened[3]
+            raise ValueError(f"the key {quoted(opened[2])} has no value")
+    except (ValueError, IndexError) as exc:
+        reason = exc if isinstance(exc, ValueError) else "the line ends early"
+        raise error(f"{what}, line {number}: outside the YAML subset "
+                    f"sc2combat reads: {reason}") from None
+    return doc
+
+
+def read_yaml(path: str | Path, what: str, error: type[CombatError]) -> object:
+    """Read a UTF-8 file and parse it (``parse_yaml``); text that does not
+    decode or parse raises ``error``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc}") from exc
+    return parse_yaml(text, what, error)
 
 
 @functools.cache
@@ -383,7 +353,7 @@ def bundled_yaml(name: str) -> object:
     """A bundled data file, parsed once per process. The document is shared:
     callers build new objects from it and never mutate it."""
     text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
-    return _read_bundled(text, name)
+    return parse_yaml(text, name, CombatError)
 
 
 def _catalog_from(doc: object) -> UnitCatalog:
@@ -405,23 +375,39 @@ def load_catalog(path: str | Path) -> UnitCatalog:
 
 
 def loads_catalog(text: str) -> UnitCatalog:
-    """Parse a catalog from YAML text, as plain data (``parse_plain_yaml``)."""
-    return _catalog_from(parse_plain_yaml(text, "catalog", CatalogError))
+    """Parse a catalog from YAML text, as ``load_catalog`` reads a file."""
+    return _catalog_from(parse_yaml(text, "catalog", CatalogError))
 
 
-def _dumped(value: object) -> object:
-    """A field's YAML value: a race by name, a tag set as a sorted list."""
-    return value.value if isinstance(value, Race) else (
-        sorted(value) if isinstance(value, frozenset) else value)
+def _plain(value: object) -> str:
+    """``value`` as the plain scalar that reads back as it, spelt as
+    ``yaml.safe_dump`` spells it; a value no plain scalar holds raises."""
+    text = str(value).lower() if isinstance(value, bool) else str(value)
+    if isinstance(value, float) and "." not in text:  # YAML spells 1e+16 as 1.0e+16
+        text = text.replace("e", ".0e")
+    if _SCALAR.fullmatch(text) and repr(_scalar(text)) == repr(value):
+        return text
+    raise CatalogError(f"{quoted(value)} is no plain int, float, true, false or word")
 
 
 def dumps_catalog(catalog: UnitCatalog) -> str:
-    """Serialize a catalog back to YAML; loads_catalog round-trips it."""
-    import yaml
-
-    records = [{key: _dumped(getattr(unit, field)) for key, field, _ in _RECORD_FIELDS}
-               for unit in catalog]
-    return yaml.safe_dump(records, sort_keys=False)
+    """Serialize a catalog in the grammar loads_catalog reads, which
+    round-trips it: one block mapping per unit, a tag set as a sorted block
+    sequence. A value the grammar cannot hold, such as a name with a space,
+    raises CatalogError."""
+    lines = []
+    for unit in catalog:
+        lead = "- "
+        for key, field, _ in _RECORD_FIELDS:
+            value = getattr(unit, field)
+            if isinstance(value, frozenset):
+                tags = [f"  - {_plain(tag)}" for tag in sorted(value)]
+                lines += [f"{lead}{key}:", *tags] if tags else [f"{lead}{key}: []"]
+            else:
+                text = _plain(value.value if isinstance(value, Race) else value)
+                lines.append(f"{lead}{key}: {text}")
+            lead = "  "
+    return "".join(f"{line}\n" for line in lines)
 
 
 def default_catalog() -> UnitCatalog:

@@ -96,10 +96,16 @@ class TestReferenceTable:
         row = find_reference_row(2, "APX3", "TvZ")
         assert row.win1 == 0.43 and row.win2 == 0.57
 
-    @pytest.mark.parametrize("win1, win2", [(1.5, -0.5), (-0.5, 1.5), (0.5, 0.6)])
+    @pytest.mark.parametrize("win1, win2", [(1.5, -0.5), (-0.5, 1.5), (0.5, 0.6), (1.005, 0.0)])
     def test_win_fraction_outside_unit_interval_or_bad_sum_rejected(self, win1, win2):
         with pytest.raises(ScenarioError, match=r"must lie in \[0, 1\] and sum to 1"):
             ReferenceRow(1, "Test", "PvT", (0,) * 4, (0,) * 4, win1, win2)
+
+    @pytest.mark.parametrize("win1, win2", [(0.99, 0.0), (1.0, 0.01)])
+    def test_win_fractions_summing_to_a_bound_load(self, win1, win2):
+        # the bundled table has rows that sum to 1.01 from rounding in the source
+        row = ReferenceRow(1, "Test", "PvT", (0,) * 4, (0,) * 4, win1, win2)
+        assert (row.win1, row.win2) == (win1, win2)
 
     @pytest.mark.parametrize("type, match, message", [
         ("APX5", "PvT", "unknown row type: 'APX5'"),
@@ -120,9 +126,9 @@ class TestBundledDataCache:
     def parsed(self, monkeypatch):
         """The names of the documents parsed from here on, with a cold cache."""
         names = []
-        original = units._read_bundled
-        monkeypatch.setattr(units, "_read_bundled",
-                            lambda text, name: names.append(name) or original(text, name))
+        original = units.parse_yaml
+        monkeypatch.setattr(units, "parse_yaml", lambda text, what, error:
+                            names.append(what) or original(text, what, error))
         units.bundled_yaml.cache_clear()
         return names
 
@@ -281,10 +287,14 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("key", ["name", "model", "trials", "seed"])
     def test_null_optional_key_rejected(self, load, key):
-        with pytest.raises(ScenarioError, match=key):
-            load(f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\n{key}: ~")
+        # YAML reads both as null; the reader yields no null value
+        armies = "army1: {zealot: 1}\narmy2: {marine: 1}\n"
+        with pytest.raises(ScenarioError, match=r"^scenario, line 3: .*: '~' is no plain"):
+            load(f"{armies}{key}: ~")
+        with pytest.raises(ScenarioError, match=rf"^scenario, line 3: .*: the key '{key}' has no"):
+            load(f"{armies}{key}:\n")
 
-    @pytest.mark.parametrize("value, name", [("skirmish", "skirmish"), ("42", "42"), ("''", "")])
+    @pytest.mark.parametrize("value, name", [("skirmish", "skirmish"), ("42", "42")])
     def test_name_kept_as_text(self, load, value, name):
         doc = f"army1: {{zealot: 1}}\narmy2: {{marine: 1}}\nname: {value}"
         assert load(doc).matchup.name == name

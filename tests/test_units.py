@@ -1,4 +1,7 @@
+import collections
 import math
+import random
+import re
 from importlib import resources
 
 import pytest
@@ -9,21 +12,20 @@ from sc2combat import (
     CatalogError,
     CombatError,
     Race,
-    ScenarioError,
     UnitCatalog,
-    builtin_matchups,
     default_catalog,
     dumps_catalog,
     effective_bonus_dps,
     effective_dps,
     effective_health,
     load_catalog,
-    load_scenario,
     loads_catalog,
-    reference_table,
 )
+from sc2combat.errors import quoted
 
 from conftest import make_unit
+from test_cli import SCENARIO
+from test_readme import fenced_block
 
 ZEALOT_YAML = """
 - name: zealot
@@ -39,6 +41,25 @@ ZEALOT_YAML = """
   bonus_aoe_area: 1.0
   bonus_vs: []
 """
+
+# The scenario and catalog texts the docs, CI, the benchmark and the tests
+# load (tests/test_cli.py's TINY_CATALOG is ZEALOT_YAML)
+VALID_TEXTS = {
+    "readme-scenario": fenced_block("### Scenario files"),
+    "cli-scenario": SCENARIO,
+    "mixed-scenario": "name: skirmish\narmy1: {zealot: 8, stalker: 2}\narmy2:\n  marine: 12\n"
+                      "  marauder: 4\nmodel: apx4\ntrials: 1000\nseed: 42\n",
+    "ci-scenario": "army1: {zealot: 2}\narmy2: {marine: 3}\n",
+    # the file the benchmark's cli workload writes for `run --scenario`
+    "safe-dumped-scenario": yaml.safe_dump({
+        "army1": {"zealot": 6, "stalker": 3}, "army2": {"marine": 10, "marauder": 3},
+        "model": "apx3", "trials": 300}),
+    "zealot-catalog": ZEALOT_YAML,
+}
+# what an edit inserts or puts in place of a character: the grammar's own
+# characters and YAML's others
+EDIT_CHARACTERS = " \n-:#[]{},.0e+_ay'\"&*~!|>?%@`\t"
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class TestDerivedStats:
@@ -124,39 +145,40 @@ class TestLoading:
             loads_catalog(ZEALOT_YAML.replace("protoss", "xelnaga"))
 
     def test_not_yaml(self):
-        with pytest.raises(CatalogError,
-                           match=r"^catalog is not valid YAML \(line \d+, column \d+\): "):
+        with pytest.raises(CatalogError, match=r"^catalog, line 1: outside the YAML subset "
+                           r"sc2combat reads: '\{' is no plain int, float, true, false or word$"):
             loads_catalog("{unclosed")
 
     def test_not_a_list(self):
         with pytest.raises(CatalogError, match="list"):
             loads_catalog("name: zealot")
 
-    # a YAML value that overflowed into a traceback or loaded as a wrong stat
-    @pytest.mark.parametrize("old, new", [
-        ("health: 100", "health: .inf"),
-        ("armor: 1", "armor: 2000"),
-        ("health: 100", "health: 1" + "0" * 400),
-        ("dps: 13.33", "dps: .nan"),
-        ("dps: 13.33", "dps: .inf"),
-        ("dps: 13.33", "dps: 1" + "0" * 400),
-        ("aoe_area: 1.0", "aoe_area: .inf"),
-        ("health: 100", "health: 12.7"),
-        ("health: 100", "health: true"),
-        ("shields: 50", "shields: '50'"),
+    # a YAML value that overflowed into a traceback or loaded as a wrong stat; a
+    # float past the largest one (1.0e+999) is inf, and the reader has no .nan
+    @pytest.mark.parametrize("old, new, message", [
+        ("health: 100", "health: 1.0e+999", "^zealot: bad health value "),
+        ("armor: 1", "armor: 2000", "^zealot: "),
+        ("health: 100", "health: 1" + "0" * 400, "^zealot: "),
+        ("dps: 13.33", "dps: .nan", "^catalog, line 7: outside the YAML subset "),
+        ("dps: 13.33", "dps: 1.0e+999", "^zealot: effective health and DPS must be finite$"),
+        ("dps: 13.33", "dps: 1" + "0" * 400, "^zealot: "),
+        ("aoe_area: 1.0", "aoe_area: 1.0e+999", "^zealot: effective health and DPS must be finite$"),
+        ("health: 100", "health: 12.7", "^zealot: "),
+        ("health: 100", "health: true", "^zealot: "),
+        ("shields: 50", "shields: fifty", "^zealot: bad shields value "),
     ], ids=["inf-health", "armor-2000", "400-digit-health", "nan-dps", "inf-dps",
             "400-digit-dps", "inf-aoe", "fractional-health", "bool-health", "string-shields"])
-    def test_bad_stat_is_a_catalog_error(self, old, new):
-        with pytest.raises(CatalogError, match="^zealot: "):
+    def test_bad_stat_is_a_catalog_error(self, old, new, message):
+        with pytest.raises(CatalogError, match=message):
             loads_catalog(ZEALOT_YAML.replace(old, new))
 
     # a value of the wrong YAML type that a bool(), float() or str() call accepted
     @pytest.mark.parametrize("old, new, message", [
-        ("ranged: false", "ranged: \"false\"", "^zealot: bad ranged value "),
+        ("ranged: false", "ranged: nope", "^zealot: bad ranged value "),
         ("dps: 13.33", "dps: true", "^zealot: bad dps value "),
-        ("dps: 13.33", "dps: \"9.7\"", "^zealot: bad dps value "),
+        ("dps: 13.33", "dps: fast", "^zealot: bad dps value "),
         ("bonus_dps: 0.0", "bonus_dps: false", "^zealot: bad bonus_dps value "),
-        ("aoe_area: 1.0", "aoe_area: '2'", "^zealot: bad aoe_area value "),
+        ("aoe_area: 1.0", "aoe_area: wide", "^zealot: bad aoe_area value "),
         ("name: zealot", "name: 5", "^5: bad name value "),
     ], ids=["string-ranged", "bool-dps", "string-dps", "bool-bonus-dps", "string-aoe",
             "integer-name"])
@@ -178,9 +200,20 @@ class TestLoading:
         assert "zealot" in load_catalog(path)
 
 
+@pytest.mark.parametrize("length", [78, 79])
+def test_message_quotes_80_characters_of_a_value(length):
+    # the README's limit: a repr of 80 characters is whole, a longer one cut there
+    text = quoted("x" * length)
+    assert text == ("'" + "x" * 78 + "'" if length == 78 else "'" + "x" * 79 + "...")
+
+
 class TestRoundTrip:
     def test_default_catalog_round_trips(self, catalog):
         assert loads_catalog(dumps_catalog(catalog)) == catalog
+
+    def test_dumped_catalog_reads_as_pyyaml_reads_it(self, catalog):
+        text = dumps_catalog(catalog)
+        assert repr(units.parse_yaml(text, "catalog", CatalogError)) == repr(yaml.safe_load(text))
 
     def test_round_trip_twice_is_stable(self, catalog):
         once = dumps_catalog(catalog)
@@ -205,60 +238,55 @@ class TestDefaultCatalog:
 
 
 class TestYamlLoader:
-    SCENARIO = """
-name: skirmish
-army1: {zealot: 8, stalker: 2}
-army2:
-  marine: 12
-  marauder: 4
-model: apx4
-trials: 1000
-seed: 42
-"""
+    """The package's one reader, ``units.parse_yaml``, against PyYAML: every
+    document it accepts is the one ``yaml.safe_load`` builds."""
+
+    @staticmethod
+    def outcome(text):
+        """"refused" when the reader refuses ``text`` in one line naming its
+        line, "same" when it reads the document PyYAML builds, types
+        included, and "different" otherwise."""
+        try:
+            doc = units.parse_yaml(text, "catalog", CatalogError)
+        except CatalogError as exc:
+            one_line = re.fullmatch(r"catalog, line \d+: outside the YAML subset "
+                                    r"sc2combat reads: [^\n]{1,200}", str(exc))
+            return "refused" if one_line else "different"
+        try:
+            same = repr(doc) == repr(yaml.load(text, Loader=YAML_LOADER))
+        except Exception:  # PyYAML refuses the text, or cannot build a value
+            same = False
+        return "same" if same else "different"
 
     @pytest.mark.parametrize("name", ["units.yaml", "matchups.yaml", "reference_table.yaml"])
-    def test_chosen_loader_matches_pure_python_on_bundled_files(self, name):
-        # the package reads its own files itself, and builds PyYAML's documents,
-        # types included; so a data file edited out of the reader's subset fails here
+    def test_reader_matches_pyyaml_on_bundled_files(self, name):
+        # so a data file edited out of the reader's subset fails here
         text = resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
-        doc = repr(units.bundled_yaml(name))
-        assert doc == repr(yaml.load(text, Loader=yaml.SafeLoader))
-        if hasattr(yaml, "CSafeLoader"):
-            assert doc == repr(yaml.load(text, Loader=yaml.CSafeLoader))
+        assert repr(units.bundled_yaml(name)) == repr(yaml.safe_load(text))
 
-    def test_chosen_loader_matches_pure_python_on_a_scenario(self):
-        doc = yaml.load(self.SCENARIO, Loader=units._yaml_loader())
-        assert doc == yaml.load(self.SCENARIO, Loader=yaml.SafeLoader)
-        assert doc["army1"] == {"zealot": 8, "stalker": 2}
+    @pytest.mark.parametrize("text", VALID_TEXTS.values(), ids=VALID_TEXTS.keys())
+    def test_reader_matches_pyyaml_on_valid_files(self, text):
+        doc = units.parse_yaml(text, "file", CombatError)
+        assert doc is not None and repr(doc) == repr(yaml.safe_load(text))
 
-    def test_pure_python_loader_gives_the_same_bundled_data(self, monkeypatch, yaml_base):
-        # what a PyYAML built without libyaml parses the bundled files to
-        parses = []
-
-        def pure_python(text, name):
-            parses.append(name)
-            return units.parse_plain_yaml(text, name, CombatError)
-
-        expected = default_catalog(), builtin_matchups(), reference_table()
-        monkeypatch.setattr(units, "_read_bundled", pure_python)
-        units.bundled_yaml.cache_clear()
-        try:
-            assert (default_catalog(), builtin_matchups(), reference_table()) == expected
-        finally:
-            units.bundled_yaml.cache_clear()
-        assert len(parses) == 3 and issubclass(units._yaml_loader(), yaml.parser.Parser)
-
-    def test_pure_python_loader_rejects_a_repeated_key(self, tmp_path, yaml_base):
-        # the CLI tests cover the chosen loader
-        path = tmp_path / "battle.yaml"
-        path.write_text(self.SCENARIO + "trials: 60\n")
-        with pytest.raises(ScenarioError, match=r"^scenario is not valid YAML "
-                           r"\(line 10, column 1\): found duplicate key 'trials'$"):
-            load_scenario(path, default_catalog())
-        with pytest.raises(CatalogError, match=r"^catalog is not valid YAML "
-                           r"\(line 14, column 3\): found duplicate key 'dps'$"):
-            loads_catalog(ZEALOT_YAML + "  dps: 20.0\n")
-        assert issubclass(units._yaml_loader(), yaml.parser.Parser)
+    def test_reader_matches_pyyaml_on_edited_files(self):
+        # 1-3 random one-character edits of each valid text, of the bundled files
+        # and of dumps_catalog's block sequences
+        bundled = [resources.files("sc2combat.data").joinpath(name).read_text(encoding="utf-8")
+                   for name in ("units.yaml", "matchups.yaml", "reference_table.yaml")]
+        texts = [*VALID_TEXTS.values(), *bundled, dumps_catalog(default_catalog())]
+        rng = random.Random(36)
+        outcomes = collections.Counter()
+        for _ in range(3000):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 3)):  # an insertion, a deletion or a change
+                at, cut = rng.randrange(len(text) + 1), rng.randint(0, 1)
+                text = text[:at] + rng.choice(EDIT_CHARACTERS) * rng.randint(1 - cut, 1) \
+                    + text[at + cut:]
+            outcome = self.outcome(text)
+            assert outcome != "different", text
+            outcomes[outcome] += 1
+        assert min(outcomes.values()) > 300, outcomes  # the edits reach both outcomes
 
     @pytest.mark.parametrize("text, line", [
         ("- {name: 'zealot'}\n", 2),
@@ -269,22 +297,36 @@ seed: 42
         ("- {ranged: yes}\n", 2),
         ("- {health: 010}\n", 2),
         ("- {race:protoss}\n", 2),
+        ("- {name: ~}\n", 2),
+        ("- name:\n- x\n", 2),
+        ("- attributes:\n    - light\n", 2),
+        ("- name: zealot\n  more\n", 3),
+        ("- {survivors1: [[1]]}\n", 2),
     ], ids=["quoted-scalar", "anchor", "block-scalar", "flow-mapping-over-two-lines",
-            "unbalanced-bracket", "yaml-1.1-bool", "octal-int", "colon-without-space"])
+            "unbalanced-bracket", "yaml-1.1-bool", "octal-int", "colon-without-space",
+            "null", "key-without-value", "indented-sequence", "two-line-scalar",
+            "flow-three-levels-deep"])
     def test_reader_rejects_text_outside_its_subset(self, text, line):
         # all but the unbalanced bracket are YAML that PyYAML reads, the last three as
         # True, 8 and the key 'race:protoss'; the reader refuses them, never guesses
         with pytest.raises(CombatError,
                            match=rf"^units\.yaml, line {line}: outside the YAML subset"):
-            units._read_bundled("# a comment\n" + text, "units.yaml")
+            units.parse_yaml("# a comment\n" + text, "units.yaml", CombatError)
 
     def test_catalog_text_must_be_plain_data(self):
-        # loads_catalog walks the events as load_catalog does; the bundled files go
-        # through the package's own reader instead
-        with pytest.raises(CatalogError, match=r"^catalog uses a YAML alias \(line 2\)"):
+        # an alias is refused before it is looked up
+        with pytest.raises(CatalogError, match=r"^catalog, line 1: outside the YAML subset "
+                           r"sc2combat reads: '&zealot' is no plain"):
             loads_catalog("- &zealot {name: zealot}\n- *zealot\n")
-        # the document's list is the first level
+        # a one-line value nests flow collections two levels deep at most
         with pytest.raises(CatalogError, match=r"^unit record must be a mapping, got list"):
-            loads_catalog("- " + "[" * 31 + "]" * 31)
-        with pytest.raises(CatalogError, match=r"^catalog nests deeper than 32 levels \(line 1\)"):
-            loads_catalog("- " + "[" * 32 + "]" * 32)
+            loads_catalog("- [[]]")
+        with pytest.raises(CatalogError, match=r"^catalog, line 1: outside the YAML subset "
+                           r"sc2combat reads: '\[' is no plain"):
+            loads_catalog("- [[[]]]")
+
+    @pytest.mark.parametrize("name", ["two words", "1", "yes", "Null", "'q'"])
+    def test_dumps_catalog_refuses_a_value_the_reader_would_misread(self, name):
+        # each would be refused, or read back as another value
+        with pytest.raises(CatalogError, match="is no plain int, float, true, false or word$"):
+            dumps_catalog(UnitCatalog([make_unit(name=name)]))
