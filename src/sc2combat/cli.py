@@ -18,7 +18,8 @@ from typing import Sequence
 from . import report
 from .engine import ModelId
 from .errors import CombatError
-from .montecarlo import AggregateResult, ExperimentSpec, run_experiment, run_experiments
+from .montecarlo import (AggregateResult, ExperimentSpec, run_experiment, run_experiments,
+                         usable_cpus)
 from .scenarios import (PAIRINGS, ROUNDS, builtin_matchups, count_problem, load_scenario,
                         reference_table, seed_problem)
 from .units import (
@@ -53,7 +54,8 @@ def _add_common(parser: argparse.ArgumentParser, simulation: bool = True) -> Non
         parser.add_argument("--trials", type=int)
         parser.add_argument("--seed", type=int)
         parser.add_argument("--jobs", type=int,
-                            help="worker processes (results identical for any value)")
+                            help="worker processes (default: the usable CPUs; "
+                                 "results identical for any value)")
 
 
 def _add_filters(parser: argparse.ArgumentParser) -> None:
@@ -149,7 +151,8 @@ def _run_selected(args: argparse.Namespace) -> list[AggregateResult]:
                     for model in models for matchup in matchups),
                    key=lambda s: (s.matchup.round, s.model.value,
                                   PAIRINGS.index(s.matchup.pairing)))
-    return run_experiments(specs, _catalog_from(args), n_jobs=_first_given(args.jobs, 1))
+    return run_experiments(specs, _catalog_from(args),
+                           n_jobs=_first_given(args.jobs, usable_cpus()))
 
 
 def _number(value: float, digits: int, fmt: str) -> object:
@@ -187,7 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = _first_given(args.seed, scenario.seed, _DEFAULT_SEED)
     spec = ExperimentSpec(matchup=scenario.matchup, model=model,
                           trials=trials, master_seed=seed)
-    result = run_experiment(spec, catalog, n_jobs=_first_given(args.jobs, 1))
+    result = run_experiment(spec, catalog, n_jobs=_first_given(args.jobs, usable_cpus()))
 
     def survivors(names: Sequence[str], means: tuple[float, ...] | None) -> object:
         if means is None:

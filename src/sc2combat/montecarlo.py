@@ -8,18 +8,23 @@ draw from it one after another, in index order. One loop runs every trial:
 it counts the terminal outcomes of a block of trials, which starts on a
 chunk boundary and shares one pair of army states and with it the engine's
 cache of round pools.
-``run_experiments`` splits each spec into blocks of whole chunks, runs the
-blocks of all specs on one process pool, and sums each spec's counts; every
-trial sees the same stream however the trials were partitioned, and summing
-is order-independent, so results are identical for any number of jobs.
-``sample_outcomes`` returns the counts of one serial block.
+``run_experiments`` deals its blocks, one per spec unless there are fewer
+specs than workers, into shares of about equal estimated cost. With more
+than one worker, the calling process forks one child per share but its
+own, counts its own share, then reads each child's counts from a pipe and
+reaps it; without ``os.fork`` it counts every share itself. Each spec's
+counts are then summed; every trial sees the same stream however the
+trials were partitioned, and summing is order-independent, so results are
+identical for any number of jobs. ``sample_outcomes`` returns the counts of
+one serial block.
 """
 
+import marshal
 import os
 import random
 import struct
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 # ``import hashlib`` loads OpenSSL's libcrypto (about 3.4 MB of resident
 # memory), while ``hashlib.blake2b`` is this same ``_blake2.blake2b``.
@@ -125,6 +130,7 @@ def _mean_over_wins(sums: tuple[int, ...], wins: int) -> tuple[float, ...] | Non
 
 
 Resolved = Sequence[tuple[UnitClass, int]]  # an army as (unit class, count) pairs
+Block = tuple[int, tuple]  # (spec index, arguments of _count_outcomes)
 
 
 def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_seed: int,
@@ -173,43 +179,136 @@ def _aggregate(spec: ExperimentSpec, counts: Counter[Outcome | None]) -> Aggrega
     )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which a taskset or cpuset pin narrows."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
                     n_jobs: int = 1) -> list[AggregateResult]:
     """Run all trials of every experiment and aggregate each one.
 
-    ``n_jobs`` > 1 splits each spec's trials into at most ``n_jobs`` blocks
-    of whole ``CHUNK``-trial chunks (the last block may end mid-chunk) and
-    runs the blocks of all specs on one pool of worker processes, no more of
-    them than there are blocks or CPUs this process may use; where that is
-    one, they run serially, with no pool. A spec's result is the sum of its blocks' outcome counts,
-    so it is identical to a serial run for any ``n_jobs``.
+    ``n_jobs`` > 1 counts the trials in up to ``n_jobs`` processes: this one
+    and children it forks, no more of them than there are CPUs this process
+    may use or blocks to count; where that is one, or where ``os.fork`` is
+    missing, the run is serial. Each spec is one block, so that its trials
+    share one round-pool cache, unless there are fewer specs than workers:
+    then each spec is cut into at most that many blocks of whole
+    ``CHUNK``-trial chunks (the last block may end mid-chunk). A spec's
+    result is the sum of its blocks' outcome counts, so it is identical to
+    a serial run for any ``n_jobs``. Forking is unsafe where other threads
+    run, so a threaded caller keeps ``n_jobs`` at 1.
     """
     if reason := count_problem("n_jobs", n_jobs):
         raise ValueError(reason)
-    blocks = []  # (spec index, arguments of _count_outcomes)
+    workers = min(n_jobs, usable_cpus()) if n_jobs > 1 and hasattr(os, "fork") else 1
+    parts = 1 if len(specs) >= workers else workers
+    blocks: list[Block] = []
     for k, spec in enumerate(specs):
         comp1, comp2 = resolve_matchup(spec.matchup, catalog)
         chunks = -(-spec.trials // CHUNK)
-        size = -(-chunks // n_jobs) * CHUNK
+        size = -(-chunks // parts) * CHUNK
         blocks += [(k, (comp1, comp2, spec.model, spec.master_seed,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]
     totals: list[Counter[Outcome | None]] = [Counter() for _ in specs]
-    # the CPUs this process may run on, which a taskset or cpuset pin narrows
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(n_jobs, len(blocks), cpus)
+    workers = min(workers, len(blocks))
     if workers <= 1:
         for k, args in blocks:
             totals[k].update(_count_outcomes(*args))
     else:
-        # imported here: it loads multiprocessing, ~30 ms that serial runs need not pay
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(k, pool.submit(_count_outcomes, *args)) for k, args in blocks]
-            for k, future in futures:
-                totals[k].update(future.result())
+        shares = _shares(blocks, workers)
+        for share, counts in zip(shares, _fork_split(shares)):
+            for (k, _), block_counts in zip(share, counts):
+                totals[k].update(block_counts)
     return [_aggregate(spec, total) for spec, total in zip(specs, totals)]
+
+
+def _shares(blocks: list[Block], workers: int) -> list[list[Block]]:
+    """Deal the blocks into ``workers`` shares of about equal cost, the
+    cheapest share first. A block's cost is estimated as its trials times the
+    unit classes in its battle, which tracks the per-trial time of the 48
+    builtin specs better than their unit or hit-point counts. Each block, the
+    costliest first, goes to the share that costs least so far."""
+    def cost(block: Block) -> int:
+        comp1, comp2, _, _, start, stop = block[1]
+        return (stop - start) * (len(comp1) + len(comp2))
+
+    shares: list[list[Block]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for block in sorted(blocks, key=cost, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(block)
+        loads[least] += cost(block)
+    return [share for _, share in sorted(zip(loads, shares), key=lambda pair: pair[0])]
+
+
+def _count_share(share: list[Block]) -> list[Counter[Outcome | None]]:
+    return [_count_outcomes(*args) for _, args in share]
+
+
+def _fork_split(shares: list[list[Block]]) -> list[list[Counter[Outcome | None]]]:
+    """Each share's block counts: the first share counted here, every other
+    one in a child forked for it. A child sends its counts back through a
+    pipe, marshalled with each ``Winner`` as its value, and ends with
+    ``os._exit``; this process reads and reaps the children in turn once its
+    own share is done. A child that exits non-zero has its share recounted
+    here, which gives the same counts or raises the same exception. Whatever
+    ends this process's part, no child is left running."""
+    children = []  # (pid, read end of its pipe, share), not yet reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:
+                _child(share, write)
+            os.close(write)
+            children.append((pid, read, share))
+        counts = [_count_share(shares[0])]
+        while children:
+            pid, read, share = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read)
+            if os.waitstatus_to_exitcode(status):
+                counts.append(_count_share(share))
+            else:
+                counts.append([Counter({None if key is None else (Winner(key[0]), *key[1:]): n
+                                        for key, n in block.items()})
+                               for block in marshal.loads(data)])
+        return counts
+    finally:
+        if children:  # left only when something raised
+            import signal  # here: about 1 ms that a run ending normally need not pay
+        for pid, read, _ in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(share: list[Block], write: int) -> NoReturn:
+    """Count ``share`` in a forked child, write the counts to ``write`` and
+    exit: 0 once they are written, 1 on anything else, and never return into
+    the caller's stack."""
+    code = 1
+    try:
+        data = marshal.dumps([{None if key is None else (key[0].value, *key[1:]): n
+                               for key, n in block.items()}
+                              for block in _count_share(share)])
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_experiment(spec: ExperimentSpec, catalog: UnitCatalog,

@@ -72,9 +72,14 @@ class UnitClass(NamedTuple):
     bonus_vs: frozenset[str] = frozenset()
 
     def _check(self) -> None:
+        if not isinstance(self.name, str):
+            raise CatalogError(f"{quoted(self.name)}: unit name must be a string")
         if not self.name:
             raise CatalogError("unit name must be non-empty")
-        name = cut(str(self.name))
+        name = cut(self.name)
+        for field in ("attributes", "bonus_vs"):
+            if not all(isinstance(tag, str) for tag in getattr(self, field)):
+                raise CatalogError(f"{name}: {field} must hold strings")
         try:  # a NaN or infinite stat, or a product past the largest float
             finite = all(math.isfinite(stat) for stat in (
                 effective_health(self), effective_dps(self), effective_bonus_dps(self)))
@@ -118,7 +123,7 @@ class UnitCatalog:
         entries: dict[str, UnitClass] = {}
         for unit in units:
             if unit.name in entries:
-                raise CatalogError(f"duplicate unit name: {cut(str(unit.name))}")
+                raise CatalogError(f"duplicate unit name: {cut(unit.name)}")
             entries[unit.name] = unit
         self._entries = entries
 

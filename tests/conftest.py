@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import pytest
 from hypothesis import settings
@@ -8,6 +9,22 @@ from sc2combat import Race, UnitClass, default_catalog
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+# a one-unit catalog file
+ZEALOT_YAML = """
+- name: zealot
+  race: protoss
+  health: 100
+  shields: 50
+  armor: 1
+  dps: 13.33
+  aoe_area: 1.0
+  ranged: false
+  attributes: [light, biological]
+  bonus_dps: 0.0
+  bonus_aoe_area: 1.0
+  bonus_vs: []
+"""
 
 
 def make_unit(name="u", health=10, dps=5.0, ranged=False, armor=0, shields=0,
@@ -33,3 +50,17 @@ def sha256(text: str) -> str:
 def catalog():
     return default_catalog()
 
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry for each ``os.fork`` call made in this process, each still
+    forking."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls

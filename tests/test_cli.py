@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import io
 import json
@@ -14,6 +13,8 @@ from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_c
                        find_matchup, report, reference_table, run_experiment, run_experiments)
 from sc2combat.cli import TABLE1_COLUMNS, run_command
 from sc2combat.errors import QUOTE_LIMIT
+
+from conftest import ZEALOT_YAML
 
 SCENARIO = """
 army1:
@@ -46,21 +47,6 @@ REFUSED = "outside the YAML subset sc2combat reads: {!r} is no plain int, float,
 
 # a UTF-16 byte order mark: not UTF-8 text
 UNDECODABLE = b"\xff\xfe" + "army1: {}\n".encode("utf-16-le")
-
-TINY_CATALOG = """
-- name: zealot
-  race: protoss
-  health: 100
-  shields: 50
-  armor: 1
-  dps: 13.33
-  aoe_area: 1.0
-  ranged: false
-  attributes: [light, biological]
-  bonus_dps: 0.0
-  bonus_aoe_area: 1.0
-  bonus_vs: []
-"""
 
 
 def run_cli(capsys, *argv):
@@ -160,7 +146,7 @@ class TestListCommands:
 
     def test_custom_catalog_flag(self, capsys, tmp_path):
         path = tmp_path / "tiny.yaml"
-        path.write_text(TINY_CATALOG)
+        path.write_text(ZEALOT_YAML)
         code, out, _ = run_cli(capsys, "list-units", "--catalog", str(path),
                                "--format", "json")
         assert code == 0
@@ -169,7 +155,7 @@ class TestListCommands:
     def test_environment_does_not_choose_the_catalog(self, capsys, tmp_path, monkeypatch):
         # only --catalog chooses a catalog, so every run's catalog is on its command line
         path = tmp_path / "tiny.yaml"
-        path.write_text(TINY_CATALOG)
+        path.write_text(ZEALOT_YAML)
         monkeypatch.setenv("SC2COMBAT_CATALOG", str(path))
         assert len(default_catalog()) == 15
         code, out, _ = run_cli(capsys, "list-units", "--format", "json")
@@ -188,13 +174,13 @@ class TestListCommands:
                              ids=["inf-health", "armor-2000", "400-digit-health"])
     def test_overflowing_catalog_stat_is_data_error(self, capsys, tmp_path, old, new):
         path = tmp_path / "tiny.yaml"
-        path.write_text(TINY_CATALOG.replace(old, new))
+        path.write_text(ZEALOT_YAML.replace(old, new))
         assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
                               "error: zealot: ")
 
     def test_wrong_value_type_in_catalog_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "tiny.yaml"
-        path.write_text(TINY_CATALOG.replace("ranged: false", "ranged: 1"))
+        path.write_text(ZEALOT_YAML.replace("ranged: false", "ranged: 1"))
         assert_one_error_line(run_cli(capsys, "list-units", "--catalog", str(path)),
                               "error: zealot: bad ranged value ")
 
@@ -217,11 +203,11 @@ class TestMalformedInput:
                               f"error: {message}")
 
     @pytest.mark.parametrize("text, message", [
-        (TINY_CATALOG + "- zealot\n", "unit record must be a mapping, got str"),
-        (TINY_CATALOG.replace("[light, biological]", "light"), "zealot: attributes must be a list"),
-        (TINY_CATALOG.replace("dps: 13.33", "dps: -1"), "zealot: DPS values must be non-negative"),
-        (TINY_CATALOG.replace("name: zealot", 'name: ""'), "catalog, line 2: " + REFUSED.format('""')),
-        (TINY_CATALOG + "  7: x\n  extra: y\n", "unit record has unknown keys: [7, 'extra']"),
+        (ZEALOT_YAML + "- zealot\n", "unit record must be a mapping, got str"),
+        (ZEALOT_YAML.replace("[light, biological]", "light"), "zealot: attributes must be a list"),
+        (ZEALOT_YAML.replace("dps: 13.33", "dps: -1"), "zealot: DPS values must be non-negative"),
+        (ZEALOT_YAML.replace("name: zealot", 'name: ""'), "catalog, line 2: " + REFUSED.format('""')),
+        (ZEALOT_YAML + "  7: x\n  extra: y\n", "unit record has unknown keys: [7, 'extra']"),
     ], ids=["string-record", "string-attributes", "negative-dps", "empty-name",
             "int-and-str-keys"])
     def test_bad_catalog(self, capsys, tmp_path, text, message):
@@ -234,7 +220,7 @@ class TestMalformedInput:
         (("run", "--scenario"), SCENARIO.replace("  stalker: 2\n", "  stalker: 2\n  zealot: 3\n"),
          "zealot", 5),
         (("run", "--scenario"), SCENARIO + "trials: 60\n", "trials", 11),
-        (("list-units", "--catalog"), TINY_CATALOG + "  dps: 20.0\n", "dps", 14),
+        (("list-units", "--catalog"), ZEALOT_YAML + "  dps: 20.0\n", "dps", 14),
     ], ids=["army1-unit", "trials", "catalog-dps"])
     def test_repeated_key_is_data_error(self, capsys, tmp_path, argv, text, key, line):
         # YAML itself would let the last value win
@@ -267,13 +253,13 @@ class TestMalformedInput:
          "scenario, line 2: outside the YAML subset sc2combat reads: a key in a block has no value"),
         (("run", "--scenario"), SCENARIO + "".join(f"{key}: 1\n" for key in MANY_KEYS),
          f"scenario has unknown keys: {repr(sorted(MANY_KEYS))[:QUOTE_LIMIT]}... (5000 in all)"),
-        (("list-units", "--catalog"), TINY_CATALOG + "".join(f"  {key}: 1\n" for key in MANY_KEYS),
+        (("list-units", "--catalog"), ZEALOT_YAML + "".join(f"  {key}: 1\n" for key in MANY_KEYS),
          f"unit record has unknown keys: {repr(sorted(MANY_KEYS))[:QUOTE_LIMIT]}... (5000 in all)"),
-        (("list-units", "--catalog"), TINY_CATALOG.replace("name: zealot", f"name: {LONG_LIST}"),
+        (("list-units", "--catalog"), ZEALOT_YAML.replace("name: zealot", f"name: {LONG_LIST}"),
          f"{LONG_LIST[:QUOTE_LIMIT]}...: bad name value (expected a string, got "
          f"{LONG_LIST[:QUOTE_LIMIT]}...)"),
         (("list-units", "--catalog"),
-         TINY_CATALOG.replace("zealot", "z" * 100_000).replace("dps: 13.33", "dps: -1"),
+         ZEALOT_YAML.replace("zealot", "z" * 100_000).replace("dps: 13.33", "dps: -1"),
          f"{'z' * QUOTE_LIMIT}...: DPS values must be non-negative"),
         (("run", "--scenario"), SCENARIO.replace("marine", "z" * 1_000),
          f"unknown unit name: '{'z' * (QUOTE_LIMIT - 1)}..."),
@@ -524,39 +510,32 @@ class TestCompare:
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1)])
-    def test_one_pool_per_command(self, capsys, monkeypatch, jobs, pools):
-        built = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
+    @pytest.mark.parametrize("jobs, forked", [("1", 0), ("2", 1)])
+    def test_one_pool_per_command(self, capsys, monkeypatch, forks, jobs, forked):
+        # one fork per worker besides the command's own process
         argv = ("reproduce", "--round", "1", "--trials", "6")
         serial = run_cli(capsys, *argv, "--jobs", "1")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert run_cli(capsys, *argv, "--jobs", jobs) == serial
-        assert len(built) == pools
+        assert len(forks) == forked
 
     def test_workers_capped_at_cpus_this_process_may_use(self, capsys, monkeypatch):
         argv = ("reproduce", "--round", "1", "--trials", "6")
         serial = run_cli(capsys, *argv, "--jobs", "1")
-        # pinned to one CPU, as by taskset, whatever the machine has: building
-        # a pool would now raise
+        # pinned to one CPU, as by taskset, whatever the machine has: a fork
+        # would now raise, at --jobs 2 and at the default alike
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(os, "fork", None)
         assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        assert run_cli(capsys, *argv) == serial
 
     def test_cli_import_loads_no_pool_machinery(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
         scenario = tmp_path / "battle.yaml"
         scenario.write_text("army1: {zealot: 2}\narmy2: {marine: 3}\n")
         catalog = tmp_path / "tiny.yaml"
-        catalog.write_text(TINY_CATALOG)
+        catalog.write_text(ZEALOT_YAML)
         code = ("import contextlib, io, sys, sc2combat.cli\n"
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
                 "print(sorted(m for m in ('fractions', 'decimal', 'csv', 'json', 'dataclasses') "
                 "if m in sys.modules))\n"
                 "from sc2combat import builtin_matchups, default_catalog, reference_table\n"
@@ -567,11 +546,17 @@ class TestWorkerPool:
                 f"    assert sc2combat.cli.run_command(['list-units', '--catalog', {str(catalog)!r}]) == 0\n"
                 f"    assert sc2combat.cli.run_command(['run', '--scenario', {str(scenario)!r},"
                 " '--trials', '5']) == 0\n"
-                "print('yaml' in sys.modules)")
+                "print('yaml' in sys.modules)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert sc2combat.cli.run_command(['reproduce', '--trials', '20',"
+                " '--jobs', '2']) == 0\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n")
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=60)
-        pools, deferred, yaml_loaded = proc.stdout.splitlines()
+        deferred, yaml_loaded, pools = proc.stdout.splitlines()
+        # workers are forked: no command, a parallel one neither, loads a pool
         assert pools == "[]"
         # the exact oracle and the CSV/JSON renderers import the first four
         # when called, so a command that skips them never loads them; the
@@ -582,7 +567,7 @@ class TestWorkerPool:
 
     def test_commands_never_load_openssl(self):
         # a fresh interpreter, since pytest itself imports hashlib: the chunk
-        # seeds hash with _blake2, so no run, serial or pooled, needs _hashlib
+        # seeds hash with _blake2, so no run, serial or forked, needs _hashlib
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import contextlib, io, sys\n"
                 "from sc2combat.cli import run_command\n"
@@ -637,9 +622,11 @@ class TestMae:
             return [run_experiment(s._replace(trials=1), catalog) for s in specs]
 
         monkeypatch.setattr(cli, "run_experiments", one_trial_each)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert run_cli(capsys, "mae", "--simulate")[0] == 0
         (specs, n_jobs), = seen
-        assert len(specs) == 48 and n_jobs == 1
+        # by default, every CPU this process may use
+        assert len(specs) == 48 and n_jobs == 3
         assert {(s.trials, s.master_seed) for s in specs} == {(1000, 0)}
 
     def test_simulate_matches_mae_by_model(self, capsys):

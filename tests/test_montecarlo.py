@@ -1,7 +1,8 @@
-import concurrent.futures
 import hashlib
 import math
+import os
 import struct
+import time
 
 import pytest
 
@@ -233,26 +234,6 @@ class TestRunExperiment:
                            model=ModelId.APX1, trials=0)
 
 
-class InlinePool:
-    """Records each pool's size and runs every task in this process."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestSettingsValidation:
     @pytest.mark.parametrize("field, value", [
         ("trials", True), ("trials", 2.5), ("master_seed", False), ("master_seed", 1.5),
@@ -278,21 +259,26 @@ class TestSettingsValidation:
             run_experiments([spec], tiny_catalog(), n_jobs=n_jobs)
 
 
+def no_child_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class TestWorkerPool:
-    @pytest.fixture
-    def started(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(InlinePool, "started", [])
-        return InlinePool.started
+    # one fork per worker besides the calling process
 
     @pytest.mark.parametrize("n_jobs, cpus, workers", [
         (5000, 4, 4),  # capped by the CPUs
         (5000, 64, 30),  # capped by the blocks: 2 specs x 15 one-chunk blocks
         (2, 64, 2),
-        (3, None, 1),  # CPU count unknown: one worker, so no pool
+        (3, None, 1),  # CPU count unknown: one worker, so no fork
     ])
-    def test_workers_capped(self, monkeypatch, started, n_jobs, cpus, workers):
-        # the fallback where os has no sched_getaffinity, as on macOS or Windows
+    def test_workers_capped(self, monkeypatch, forks, n_jobs, cpus, workers):
+        # the fallback where os has no sched_getaffinity, as on macOS
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         specs = [ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
@@ -300,9 +286,10 @@ class TestWorkerPool:
                  for model in (ModelId.APX1, ModelId.APX4)]
         serial = run_experiments(specs, tiny_catalog())
         assert run_experiments(specs, tiny_catalog(), n_jobs=n_jobs) == serial
-        assert started == ([workers] if workers > 1 else [])
+        assert len(forks) == workers - 1
+        assert no_child_left()
 
-    def test_workers_capped_by_affinity(self, monkeypatch, started):
+    def test_workers_capped_by_affinity(self, monkeypatch, forks):
         # a taskset or cpuset pin leaves 3 of the machine's 64 CPUs usable
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
@@ -311,20 +298,76 @@ class TestWorkerPool:
                               model=ModelId.APX4, trials=15 * montecarlo.CHUNK, master_seed=8)
         serial = run_experiment(spec, tiny_catalog())
         assert run_experiment(spec, tiny_catalog(), n_jobs=5000) == serial
-        assert started == [3]
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
-    def test_jobs_change_no_result(self, monkeypatch, started, trials):
+    def test_jobs_change_no_result(self, monkeypatch, forks, trials):
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
         spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
                               model=ModelId.APX4, trials=trials, master_seed=21)
         serial = run_experiment(spec, tiny_catalog())
+        forked = []
         for n_jobs in (2, 3, 7):
             assert run_experiment(spec, tiny_catalog(), n_jobs=n_jobs) == serial
+            forked.append(len(forks) - sum(forked))
         chunks = -(-trials // montecarlo.CHUNK)
-        # a pool starts only where there is more than one whole chunk to split
-        assert started == ([min(n, chunks) for n in (2, 3, 7)] if chunks > 1 else [])
+        # a fork only where there is more than one whole chunk to split
+        assert forked == [min(n, chunks) - 1 for n in (2, 3, 7)]
+
+    def test_serial_without_os_fork(self, monkeypatch):
+        # as on Windows: the same results from this process alone
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX2, trials=200, master_seed=29)
+        serial = run_experiment(spec, tiny_catalog())
+        monkeypatch.delattr(montecarlo.os, "fork", raising=False)
+        assert run_experiment(spec, tiny_catalog(), n_jobs=2) == serial
+
+    def test_block_raising_in_a_child_raises_here(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        count, raised = montecarlo._count_outcomes, tmp_path / "raised"
+
+        def failing(comp1, comp2, model, *args):
+            if model is ModelId.APX4:
+                with open(raised, "a", encoding="utf-8") as log:
+                    log.write(f"{os.getpid()}\n")
+                raise RuntimeError("no APX4 today")
+            return count(comp1, comp2, model, *args)
+
+        monkeypatch.setattr(montecarlo, "_count_outcomes", failing)
+        # two whole specs, one a worker: the costlier APX4 one goes to the child
+        specs = [ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                                model=model, trials=trials, master_seed=5)
+                 for model, trials in ((ModelId.APX1, 64), (ModelId.APX4, 128))]
+        with pytest.raises(RuntimeError, match="^no APX4 today$"):
+            run_experiments(specs, tiny_catalog(), n_jobs=2)
+        child, here = raised.read_text(encoding="utf-8").split()
+        # it raised in the child first, and again when this process recounted it
+        assert child != here == str(os.getpid())
+        assert no_child_left()
+
+    def test_interrupted_share_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        count, parent = montecarlo._count_outcomes, os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the children are still counting
+            return count(*args)
+
+        monkeypatch.setattr(montecarlo, "_count_outcomes", interrupted)
+        specs = [ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                                model=model, trials=64, master_seed=5) for model in ModelId]
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiments(specs, tiny_catalog(), n_jobs=3)
+        assert no_child_left()
+        assert time.perf_counter() - start < 30
 
 
 class TestSampleOutcomes:

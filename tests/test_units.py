@@ -23,27 +23,13 @@ from sc2combat import (
 )
 from sc2combat.errors import quoted
 
-from conftest import make_unit
+from conftest import ZEALOT_YAML, make_unit
 from test_cli import SCENARIO
 from test_readme import fenced_block
 
-ZEALOT_YAML = """
-- name: zealot
-  race: protoss
-  health: 100
-  shields: 50
-  armor: 1
-  dps: 13.33
-  aoe_area: 1.0
-  ranged: false
-  attributes: [light, biological]
-  bonus_dps: 0.0
-  bonus_aoe_area: 1.0
-  bonus_vs: []
-"""
 
 # The scenario and catalog texts the docs, CI, the benchmark and the tests
-# load (tests/test_cli.py's TINY_CATALOG is ZEALOT_YAML)
+# load
 VALID_TEXTS = {
     "readme-scenario": fenced_block("### Scenario files"),
     "cli-scenario": SCENARIO,
@@ -108,6 +94,17 @@ class TestValidation:
     def test_non_finite_effective_stats_rejected(self, stats):
         with pytest.raises(CatalogError, match="must be finite"):
             make_unit(**stats)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(name=5), "5: unit name must be a string"),
+        (dict(name="marine", attrs=("light", 1)), "marine: attributes must hold strings"),
+        (dict(name="marine", bonus=2.0, bonus_vs=(1,)), "marine: bonus_vs must hold strings"),
+    ])
+    def test_non_string_name_or_tag_rejected(self, fields, message):
+        # dumps_catalog wrote `- name: 5`, which loads_catalog refuses, and
+        # the tag 1, which it reads back as '1'
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            make_unit(**fields)
 
     def test_duplicate_name_rejected(self):
         marine = make_unit("marine")
