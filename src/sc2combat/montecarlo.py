@@ -203,7 +203,7 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
     """
     if reason := count_problem("n_jobs", n_jobs):
         raise ValueError(reason)
-    workers = min(n_jobs, usable_cpus()) if n_jobs > 1 and hasattr(os, "fork") else 1
+    workers = min(n_jobs, usable_cpus()) if hasattr(os, "fork") else 1
     parts = 1 if len(specs) >= workers else workers
     blocks: list[Block] = []
     for k, spec in enumerate(specs):
@@ -214,15 +214,10 @@ def run_experiments(specs: Sequence[ExperimentSpec], catalog: UnitCatalog,
                         start, min(start + size, spec.trials)))
                    for start in range(0, spec.trials, size)]
     totals: list[Counter[Outcome | None]] = [Counter() for _ in specs]
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        for k, args in blocks:
-            totals[k].update(_count_outcomes(*args))
-    else:
-        shares = _shares(blocks, workers)
-        for share, counts in zip(shares, _fork_split(shares)):
-            for (k, _), block_counts in zip(share, counts):
-                totals[k].update(block_counts)
+    shares = _shares(blocks, max(1, min(workers, len(blocks))))
+    for share, counts in zip(shares, _fork_split(shares)):
+        for (k, _), block_counts in zip(share, counts):
+            totals[k].update(block_counts)
     return [_aggregate(spec, total) for spec, total in zip(specs, totals)]
 
 

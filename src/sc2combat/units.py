@@ -72,14 +72,23 @@ class UnitClass(NamedTuple):
     bonus_vs: frozenset[str] = frozenset()
 
     def _check(self) -> None:
-        if not isinstance(self.name, str):
-            raise CatalogError(f"{quoted(self.name)}: unit name must be a string")
+        name = cut(str(self.name))
+        for key, field, convert in _RECORD_FIELDS:  # the types a catalog file gives
+            value = getattr(self, field)
+            try:
+                if convert is _race:
+                    if not isinstance(value, Race):
+                        raise ValueError(f"expected a Race, got {quoted(value)}")
+                elif convert is _tags:
+                    if not isinstance(value, frozenset) or _tags(value) != value:
+                        raise ValueError(f"expected a frozenset of lowercase strings, "
+                                         f"got {quoted(value)}")
+                else:
+                    convert(value)
+            except (ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
+                raise CatalogError(f"{name}: bad {key} value ({exc})") from None
         if not self.name:
             raise CatalogError("unit name must be non-empty")
-        name = cut(self.name)
-        for field in ("attributes", "bonus_vs"):
-            if not all(isinstance(tag, str) for tag in getattr(self, field)):
-                raise CatalogError(f"{name}: {field} must hold strings")
         try:  # a NaN or infinite stat, or a product past the largest float
             finite = all(math.isfinite(stat) for stat in (
                 effective_health(self), effective_dps(self), effective_bonus_dps(self)))

@@ -10,6 +10,19 @@ from sc2combat import Race, UnitClass, default_catalog
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
 
+# a scenario file: round 1 PvT's armies with every optional key set
+SCENARIO = """
+army1:
+  zealot: 8
+  stalker: 2
+army2:
+  marine: 12
+  marauder: 4
+model: apx4
+trials: 50
+seed: 42
+"""
+
 # a one-unit catalog file
 ZEALOT_YAML = """
 - name: zealot

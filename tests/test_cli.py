@@ -14,19 +14,7 @@ from sc2combat import (ExperimentSpec, ModelId, builtin_matchups, cli, default_c
 from sc2combat.cli import TABLE1_COLUMNS, run_command
 from sc2combat.errors import QUOTE_LIMIT
 
-from conftest import ZEALOT_YAML
-
-SCENARIO = """
-army1:
-  zealot: 8
-  stalker: 2
-army2:
-  marine: 12
-  marauder: 4
-model: apx4
-trials: 50
-seed: 42
-"""
+from conftest import SCENARIO, ZEALOT_YAML
 
 # 100,000 nested lists, 200 KB
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -134,23 +122,18 @@ class TestOneRulePerSetting:
 
 
 class TestListCommands:
-    def test_list_units(self, capsys):
-        code, out, _ = run_cli(capsys, "list-units")
-        assert code == 0
-        assert "zealot" in out and "ultralisk" in out
-
-    def test_list_matchups_has_twelve_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "list-matchups", "--format", "json")
-        assert code == 0
-        assert len(json.loads(out)) == 12
-
     def test_custom_catalog_flag(self, capsys, tmp_path):
         path = tmp_path / "tiny.yaml"
-        path.write_text(ZEALOT_YAML)
+        path.write_text(ZEALOT_YAML.replace("shields: 50", "shields: 51")
+                        .replace("armor: 1", "armor: 3").replace("dps: 13.33", "dps: 13.337")
+                        .replace("bonus_dps: 0.0", "bonus_dps: 1.005")
+                        .replace("bonus_vs: []", "bonus_vs: [light]"))
         code, out, _ = run_cli(capsys, "list-units", "--catalog", str(path),
                                "--format", "json")
         assert code == 0
-        assert [r["name"] for r in json.loads(out)] == ["zealot"]
+        # derived stats are rounded to two places: 509.625, 13.337 and 1.005
+        assert [(r["name"], r["eff_health"], r["eff_dps"], r["eff_bonus_dps"])
+                for r in json.loads(out)] == [("zealot", 509.62, 13.34, 1.0)]
 
     def test_environment_does_not_choose_the_catalog(self, capsys, tmp_path, monkeypatch):
         # only --catalog chooses a catalog, so every run's catalog is on its command line
@@ -195,7 +178,9 @@ class TestMalformedInput:
          "army1 must be a non-empty mapping of unit name -> count"),
         (SCENARIO + "1: a\nfoo: b\n", "scenario has unknown keys: [1, 'foo']"),
         (SCENARIO + "name: 2001-13-45\n", "scenario, line 11: " + REFUSED.format("2001-13-45")),
-    ], ids=["list-document", "army1-list", "int-and-str-keys", "impossible-date"])
+        (SCENARIO.replace("trials: 50", "trials: 50 60"),
+         "scenario, line 9: outside the YAML subset sc2combat reads: unexpected '60'"),
+    ], ids=["list-document", "army1-list", "int-and-str-keys", "impossible-date", "two-scalars"])
     def test_bad_scenario(self, capsys, tmp_path, text, message):
         path = tmp_path / "battle.yaml"
         path.write_text(text)
@@ -312,22 +297,6 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--scenario", str(path))
         assert code == 1
         assert "wraith" in err
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_scenario_seed_out_of_range_is_data_error(self, capsys, tmp_path, seed):
-        path = tmp_path / "battle.yaml"
-        path.write_text(SCENARIO.replace("seed: 42", f"seed: {seed}"))
-        code, out, err = run_cli(capsys, "run", "--scenario", str(path))
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "seed" in err
-
-    @pytest.mark.parametrize("key, old, new", [("trials", "50", "true"), ("seed", "42", "false")])
-    def test_scenario_boolean_is_data_error(self, capsys, tmp_path, key, old, new):
-        # YAML booleans are Python ints; they are no trial count or seed
-        path = tmp_path / "battle.yaml"
-        path.write_text(SCENARIO.replace(f"{key}: {old}", f"{key}: {new}"))
-        assert_one_error_line(run_cli(capsys, "run", "--scenario", str(path)),
-                              f"error: {key} must be ")
 
     @pytest.mark.parametrize("flags, trials, seed", [
         (("--seed", "7", "--trials", "30"), 30, 7),
@@ -586,17 +555,6 @@ class TestWorkerPool:
 
 
 class TestMae:
-    def test_from_reference_ordering(self, capsys):
-        code, out, _ = run_cli(capsys, "mae", "--format", "json")
-        assert code == 0
-        by_model = {r["model"]: r["mae"] for r in json.loads(out)}
-        assert by_model["APX3"] < by_model["APX4"]
-
-    def test_chart(self, capsys):
-        code, out, _ = run_cli(capsys, "mae", "--chart")
-        assert code == 0
-        assert "#" in out
-
     def test_simulate_small(self, capsys):
         code, out, _ = run_cli(capsys, "mae", "--simulate", "--trials", "10",
                                "--format", "json")

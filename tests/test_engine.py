@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,15 +202,6 @@ class TestApplyPool:
         spend_from_counts(20.0, defender, ModelId.APX1, random.Random(1).random)
         assert defender.counts == [0]
 
-    def test_partial_pool_kills_at_ratio(self):
-        kills = 0
-        n = 10_000
-        for i in range(n):
-            defender = army((make_unit("d", health=10), 1))
-            spend_from_counts(5.0, defender, ModelId.APX1, random.Random(i).random)
-            kills += defender.counts[0] == 0
-        assert abs(kills / n - 0.5) <= three_sigma(0.5, n)
-
     def test_melee_first_kills_melee_with_certainty(self):
         melee = make_unit("m", health=10, ranged=False)
         shooter = make_unit("r", health=10, ranged=True)
@@ -378,6 +370,33 @@ class TestLotteryRounds:
         # rounds: geometric with success 0.4, variance 0.6 / 0.4**2
         assert abs(sum(rounds) / n - 2.5) <= 4 * math.sqrt(3.75 / n)
 
+    def test_draws_fall_in_half_open_intervals(self):
+        # a draw equal to a boundary falls past it: a pick of 0.5 x 2 units is
+        # the second unit, and a roll of 0.5 misses a 5 / 10 kill chance
+        for pool, draws, expected in ((10.0, [0.5], [1, 0]), (5.0, [0.0, 0.5], [1, 1])):
+            defender = army((make_unit("a", health=10), 1), (make_unit("b", health=10), 1))
+            spend_from_counts(pool, defender, ModelId.APX1, iter(draws).__next__)
+            assert defender.counts == expected
+        # no lottery where a pool reaches a class's health, or where eleven
+        # chances of 1/11 x 0.9999999999999998 sum to 1.0
+        defender = army((make_unit("a", health=10), 1), (make_unit("b", health=20), 1))
+        assert engine._kill_odds(10.0, defender, (0, 1), 2) is None
+        eleven = army(*((make_unit(f"u{i}", health=10), 1) for i in range(11)))
+        assert engine._kill_odds(math.nextafter(10.0, 0), eleven, tuple(range(11)), 11) is None
+        kill, table = engine._kill_odds(5.0, defender, (0, 1), 2)
+        assert (kill, table) == (0.375, ((0.25, 0), (0.375, 1)))
+        engine._lottery_kill(table, 0.25, defender, ModelId.APX1, (0, 1), 2)  # past a: b
+        assert defender.counts == [1, 0]
+        # round 1 kills nothing; round 2 is a lottery: army1 kills with 0.25,
+        # army2 with 0.2, and a draw below share1 gives army1 the first kill
+        share1, opening = 0.25 / (0.25 + 0.75 * 0.2), [0.0, 0.9, 0.0, 0.9, 0.0]
+        for tail, winner, alive in (([share1, 0.0], Winner.ARMY2, ((0,), (1,))),
+                                    ([0.0, 0.0, 0.2], Winner.ARMY1, ((1,), (0,)))):
+            a = army((make_unit("a", health=50, dps=25.0, ranged=True), 1))
+            b = army((make_unit("b", health=100, dps=10.0, ranged=True), 1))
+            rng = SimpleNamespace(random=iter(opening + tail + [0.9, 0.0]).__next__)
+            assert run_trial(a, b, ModelId.APX1, rng) == TrialOutcome(winner, *alive, 2)
+
     @pytest.mark.parametrize("model", list(ModelId))
     def test_lottery_heavy_battle_matches_oracle(self, model):
         # army1's pool of 11 (with bonus: up to 15) reaches only the 10-health
@@ -415,20 +434,6 @@ class TestRunTrial:
             assert outcome.rounds == 1
             ones += outcome.survivors1 == (1,)
         assert abs(ones / n - 0.8) <= three_sigma(0.8, n)
-
-    def test_mirror_exact_lethal_always_draws(self):
-        for seed in range(50):
-            a = army((make_unit("a", health=10, dps=10.0), 1))
-            b = army((make_unit("b", health=10, dps=10.0), 1))
-            outcome = run_trial(a, b, ModelId.APX1, random.Random(seed))
-            assert outcome.winner is Winner.DRAW
-            assert outcome.survivors1 == (0,) and outcome.survivors2 == (0,)
-
-    def test_zero_dps_stalemate(self):
-        a = army((make_unit("a", dps=0.0), 1))
-        b = army((make_unit("b", dps=0.0), 1))
-        with pytest.raises(StalemateError):
-            run_trial(a, b, ModelId.APX1, random.Random(0))
 
     def test_zero_progress_is_a_stalemate_in_round_two(self, monkeypatch):
         calls = []

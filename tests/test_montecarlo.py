@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import time
+from unittest.mock import Mock
 
 import pytest
 
@@ -125,6 +126,7 @@ class TestRunExperiment:
         expected = [run_experiment(s, tiny_catalog()) for s in specs]
         for n_jobs in (1, 2, 3):
             assert run_experiments(specs, tiny_catalog(), n_jobs=n_jobs) == expected
+            assert run_experiments([], tiny_catalog(), n_jobs=n_jobs) == []
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_jobs_below_one_rejected(self, n_jobs):
@@ -228,11 +230,6 @@ class TestRunExperiment:
         specs = [ExperimentSpec(find_matchup(1, "PvT"), model, 300, 9) for model in ModelId]
         assert run_experiments(specs, catalog) == [run_experiment(s, catalog) for s in specs]
 
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(matchup=matchup([("fast", 1)], [("slow", 1)]),
-                           model=ModelId.APX1, trials=0)
-
 
 class TestSettingsValidation:
     @pytest.mark.parametrize("field, value", [
@@ -291,8 +288,8 @@ class TestWorkerPool:
 
     def test_workers_capped_by_affinity(self, monkeypatch, forks):
         # a taskset or cpuset pin leaves 3 of the machine's 64 CPUs usable
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                            raising=False)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", {0: {0, 1, 2}}.get,
+                            raising=False)  # 0: this process
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
         spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
                               model=ModelId.APX4, trials=15 * montecarlo.CHUNK, master_seed=8)
@@ -304,6 +301,9 @@ class TestWorkerPool:
     def test_jobs_change_no_result(self, monkeypatch, forks, trials):
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        counted, count_share = [], montecarlo._count_share
+        monkeypatch.setattr(montecarlo, "_count_share",
+                            lambda share: counted.append(share) or count_share(share))
         spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
                               model=ModelId.APX4, trials=trials, master_seed=21)
         serial = run_experiment(spec, tiny_catalog())
@@ -314,6 +314,17 @@ class TestWorkerPool:
         chunks = -(-trials // montecarlo.CHUNK)
         # a fork only where there is more than one whole chunk to split
         assert forked == [min(n, chunks) - 1 for n in (2, 3, 7)]
+        # one share counted here a run: no child's share was counted again
+        assert len(counted) == 4
+
+    def test_shares_even_out_estimated_cost(self):
+        # cost = trials x unit classes: a 600, b 800, c 300; the costliest
+        # block goes first, each to the cheapest share, cheapest share first
+        def block(k, start, stop, classes):
+            return k, ((None,), (None,) * (classes - 1), ModelId.APX1, 0, start, stop)
+
+        a, b, c = block(0, 0, 300, 2), block(1, 300, 500, 4), block(2, 500, 650, 2)
+        assert montecarlo._shares([a, b, c], 2) == [[b], [a, c]]
 
     def test_serial_without_os_fork(self, monkeypatch):
         # as on Windows: the same results from this process alone
@@ -324,6 +335,21 @@ class TestWorkerPool:
         serial = run_experiment(spec, tiny_catalog())
         monkeypatch.delattr(montecarlo.os, "fork", raising=False)
         assert run_experiment(spec, tiny_catalog(), n_jobs=2) == serial
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(montecarlo.os, "pipe", lambda: pipes.extend(pipe()) or pipes[-2:])
+        monkeypatch.setattr(montecarlo.os, "fork", Mock(side_effect=OSError("no process left")))
+        spec = ExperimentSpec(matchup=matchup([("fast", 2)], [("slow", 3)]),
+                              model=ModelId.APX2, trials=200, master_seed=29)
+        with pytest.raises(OSError, match="^no process left$"):
+            run_experiment(spec, tiny_catalog(), n_jobs=2)
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     def test_block_raising_in_a_child_raises_here(self, monkeypatch, tmp_path):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1},

@@ -91,7 +91,7 @@ def test_sum_checked_exactly(monkeypatch):
 
     monkeypatch.setattr(oracle, "_apply_distribution", shifted)
     a = make_unit("a", health=7, dps=3.0)
-    with pytest.raises(AssertionError, match="sum to"):
+    with pytest.raises(AssertionError, match="^outcome probabilities sum to 1.0, not 1$"):
         enumerate_compositions([(a, 2)], [(a, 1)], ModelId.APX1)
 
 
@@ -246,7 +246,7 @@ def test_spending_matches_leaf_list_expansion():
     rng = random.Random(22)
     for _ in range(600):
         huge = rng.random() < 0.3
-        comp = [(make_unit(f"u{i}", health=rng.choice((1e16, 1e16 + 6, 2, 7)) if huge
+        comp = [(make_unit(f"u{i}", health=rng.choice((10**16, 10**16 + 6, 2, 7)) if huge
                            else rng.randint(1, 30),
                            ranged=rng.random() < 0.5, armor=0 if huge else rng.randint(0, 3)),
                  rng.randint(0, 3)) for i in range(rng.randint(1, 4))]
@@ -259,11 +259,12 @@ def test_spending_matches_leaf_list_expansion():
 
 
 def test_kill_orders_leaving_different_pools_stay_apart():
-    # killing the 1e16 unit before or after the 6.5 one leaves two different
+    # killing the 1e16 unit before or after the 10.5 one leaves two different
     # float pools at the same counts, and so two chances to kill the last unit
-    army = ArmyState([(make_unit("big", health=1e16), 2), (make_unit("small", health=6.5), 1)])
+    army = ArmyState([(make_unit("big", health=10**16), 2),
+                      (make_unit("small", health=7, armor=1), 1)])
     pool = 2e16 + 5
-    assert (pool - 1e16) - 6.5 != (pool - 6.5) - 1e16
+    assert (pool - 1e16) - 10.5 != (pool - 10.5) - 1e16
     for model in (ModelId.APX1, ModelId.APX4):
         assert (oracle._apply_distribution(pool, army, army.initial_counts, model)
                 == _leaf_list_distribution(pool, army, army.initial_counts, model))

@@ -146,7 +146,7 @@ def test_validation_cannot_be_bypassed(record, field, bad, error, message):
         type(record)._make(values.values())
     assert type(built.value) is type(replaced.value) is type(made.value) is error
     assert str(built.value) == str(replaced.value) == str(made.value) == message
-    # run_experiments ships UnitClass objects to pool workers
+    # and each record pickles as itself
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and type(copy) is type(record)
 

@@ -13,6 +13,7 @@ from sc2combat import (
     CombatError,
     Race,
     UnitCatalog,
+    UnitClass,
     default_catalog,
     dumps_catalog,
     effective_bonus_dps,
@@ -21,10 +22,9 @@ from sc2combat import (
     load_catalog,
     loads_catalog,
 )
-from sc2combat.errors import quoted
+from sc2combat.errors import listed, quoted
 
-from conftest import ZEALOT_YAML, make_unit
-from test_cli import SCENARIO
+from conftest import SCENARIO, ZEALOT_YAML, make_unit
 from test_readme import fenced_block
 
 
@@ -41,6 +41,7 @@ VALID_TEXTS = {
         "army1": {"zealot": 6, "stalker": 3}, "army2": {"marine": 10, "marauder": 3},
         "model": "apx3", "trials": 300}),
     "zealot-catalog": ZEALOT_YAML,
+    "longest-key": "k" * 1024 + ": 1\n",  # YAML's limit on a key on one line
 }
 # what an edit inserts or puts in place of a character: the grammar's own
 # characters and YAML's others
@@ -69,8 +70,13 @@ class TestDerivedStats:
 
 class TestValidation:
     def test_negative_health_rejected(self):
-        with pytest.raises(CatalogError):
-            make_unit(health=-1)
+        for fields in (dict(health=-1), dict(shields=-1), dict(armor=-1)):
+            with pytest.raises(CatalogError, match="must be non-negative$"):
+                make_unit(**fields)
+        make_unit(health=0, shields=1)  # all shields, as no builtin unit has
+
+    def test_defaults_make_a_single_target_melee_unit(self):
+        assert UnitClass("u", Race.TERRAN, 10, 0, 0, 5.0) == make_unit()
 
     def test_zero_total_health_rejected(self):
         with pytest.raises(CatalogError):
@@ -96,14 +102,25 @@ class TestValidation:
             make_unit(**stats)
 
     @pytest.mark.parametrize("fields, message", [
-        (dict(name=5), "5: unit name must be a string"),
-        (dict(name="marine", attrs=("light", 1)), "marine: attributes must hold strings"),
-        (dict(name="marine", bonus=2.0, bonus_vs=(1,)), "marine: bonus_vs must hold strings"),
-    ])
-    def test_non_string_name_or_tag_rejected(self, fields, message):
-        # dumps_catalog wrote `- name: 5`, which loads_catalog refuses, and
-        # the tag 1, which it reads back as '1'
-        with pytest.raises(CatalogError, match=f"^{message}$"):
+        (dict(name=5), "5: bad name value (expected a string, got 5)"),
+        (dict(attrs=(1,)), "u: bad attributes value (expected a frozenset of lowercase "
+                           "strings, got frozenset({1}))"),
+        (dict(bonus=2.0, bonus_vs=(1,)), "u: bad bonus_vs value (expected a frozenset of "
+                                         "lowercase strings, got frozenset({1}))"),
+        (dict(attrs=("Light",)), "u: bad attributes value (expected a frozenset of "
+                                 "lowercase strings, got frozenset({'Light'}))"),
+        (dict(name=""), "unit name must be non-empty"),
+        (dict(race="terran"), "u: bad race value (expected a Race, got 'terran')"),
+        (dict(health=True), "u: bad health value (expected an integer, got True)"),
+        (dict(dps=True), "u: bad dps value (expected a number, got True)"),
+        (dict(ranged=1), "u: bad ranged value (expected true or false, got 1)"),
+    ], ids=["int-name", "int-attribute", "int-bonus-tag", "capital-tag", "empty-name",
+            "str-race", "bool-health", "bool-dps", "int-ranged"])
+    def test_field_of_the_wrong_type_rejected(self, fields, message):
+        # the rules a catalog file's fields obey: before, race="terran" failed
+        # inside the engine, dumps_catalog wrote `health: true` and `- name: 5`,
+        # which loads_catalog refuses, and tags read back as '1' and 'light'
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
             make_unit(**fields)
 
     def test_duplicate_name_rejected(self):
@@ -202,19 +219,20 @@ def test_message_quotes_80_characters_of_a_value(length):
     # the README's limit: a repr of 80 characters is whole, a longer one cut there
     text = quoted("x" * length)
     assert text == ("'" + "x" * 78 + "'" if length == 78 else "'" + "x" * 79 + "...")
+    # a list adds its count only when its quote is cut
+    assert listed(["x" * (length - 2)]).endswith(" (1 in all)") == (length == 79)
 
 
 class TestRoundTrip:
     def test_default_catalog_round_trips(self, catalog):
         assert loads_catalog(dumps_catalog(catalog)) == catalog
+        # str(1e16) is '1e+16', which YAML reads as a string
+        one = UnitCatalog([make_unit(dps=1e16)])
+        assert "dps: 1.0e+16\n" in dumps_catalog(one) and loads_catalog(dumps_catalog(one)) == one
 
     def test_dumped_catalog_reads_as_pyyaml_reads_it(self, catalog):
         text = dumps_catalog(catalog)
         assert repr(units.parse_yaml(text, "catalog", CatalogError)) == repr(yaml.safe_load(text))
-
-    def test_round_trip_twice_is_stable(self, catalog):
-        once = dumps_catalog(catalog)
-        assert dumps_catalog(loads_catalog(once)) == once
 
     def test_catalog_is_unequal_to_a_non_catalog(self, catalog):
         # NotImplemented lets the other operand answer, and Python falls
@@ -224,9 +242,6 @@ class TestRoundTrip:
 
 
 class TestDefaultCatalog:
-    def test_fifteen_units(self, catalog):
-        assert len(catalog) == 15
-
     def test_races_covered(self, catalog):
         by_race = {race: [u.name for u in catalog if u.race is race] for race in Race}
         assert len(by_race[Race.PROTOSS]) == 6
@@ -299,13 +314,16 @@ class TestYamlLoader:
         ("- attributes:\n    - light\n", 2),
         ("- name: zealot\n  more\n", 3),
         ("- {survivors1: [[1]]}\n", 2),
+        ("army1:\n  zealot: 2\n- x\n", 4),
+        ("k" * 1025 + ": 1\n", 2),
     ], ids=["quoted-scalar", "anchor", "block-scalar", "flow-mapping-over-two-lines",
             "unbalanced-bracket", "yaml-1.1-bool", "octal-int", "colon-without-space",
             "null", "key-without-value", "indented-sequence", "two-line-scalar",
-            "flow-three-levels-deep"])
+            "flow-three-levels-deep", "block-of-keys-and-items", "key-past-1024"])
     def test_reader_rejects_text_outside_its_subset(self, text, line):
-        # all but the unbalanced bracket are YAML that PyYAML reads, the last three as
-        # True, 8 and the key 'race:protoss'; the reader refuses them, never guesses
+        # PyYAML reads all but the unbalanced bracket, the mixed block and the long key,
+        # the 1.1 bool, octal int and missing space as True, 8 and the key
+        # 'race:protoss'; the reader refuses them all, never guesses
         with pytest.raises(CombatError,
                            match=rf"^units\.yaml, line {line}: outside the YAML subset"):
             units.parse_yaml("# a comment\n" + text, "units.yaml", CombatError)
