@@ -36,6 +36,13 @@ its entries and computes other rounds afresh, so results are bit-identical
 with or without it: every float operation and every random draw happens in
 the same order either way.
 
+A block's trials also share their opening: both sides' eligible groups
+and unit totals and the bound cache, which are the same for every trial
+that starts from the same counts. ``run_trial`` keeps the last one it
+computed on army1, one per model, with the counts it was taken at, and
+reuses it while both sides are at those counts and army1 stays bound to
+the same defender classes; another binding clears it with the caches.
+
 A miss is cheaper where one side's counts repeat, as they do when a round
 kills only on the other side: each ``ArmyState`` keeps a side memo of its
 DPS sum keyed by its contributing counts (see ``compute_pool``), valid for
@@ -56,6 +63,11 @@ from .units import UnitClass, effective_bonus_dps, effective_dps, effective_heal
 # Entries one round-pool cache holds; a full cache stops growing. Bounds the
 # memory of a block whose trials spread over many battle states.
 _POOL_CACHE_ENTRIES = 1024
+
+# Bound once: the trial loop reads them in every lottery step or trial.
+_log = math.log
+_FLOAT_MAX = sys.float_info.max
+_tuple_new = tuple.__new__
 
 
 class ModelId(enum.Enum):
@@ -109,7 +121,7 @@ class ArmyState:
 
     __slots__ = ("classes", "counts", "initial_counts", "eff_health", "eff_dps",
                  "eff_bonus_dps", "ranged", "melee", "indices", "_dps_sums",
-                 "_against", "_bonus_rows", "_pools")
+                 "_against", "_bonus_rows", "_pools", "_openings")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
         if any(not is_integer(count) or count < 0 for _, count in composition):
@@ -125,6 +137,7 @@ class ArmyState:
         self.indices: tuple[int, ...] = tuple(range(len(self.classes)))
         self._dps_sums: dict[tuple[int, ...], float] = {}  # see compute_pool
         self._against, self._bonus_rows, self._pools = None, (), {}  # see bonus_targets
+        self._openings: dict[ModelId, tuple] = {}  # see run_trial
 
     def bonus_targets(self, defender: "ArmyState") -> tuple[tuple, ...]:
         """The rows ``(i, js, bonus DPS of i, i is ranged)`` that ``bonus_pool``
@@ -134,7 +147,7 @@ class ArmyState:
         new ``defender.classes`` also starts new round-pool caches (see
         ``_round_pools``): this one binding ties both to the opponent."""
         if self._against is not defender.classes:
-            self._against, self._pools = defender.classes, {}
+            self._against, self._pools, self._openings = defender.classes, {}, {}
             self._bonus_rows = tuple(
                 (i, tuple(j for j, target in enumerate(defender.classes)
                           if not unit.bonus_vs.isdisjoint(target.attributes)),
@@ -312,6 +325,13 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     pool is spent on army2 and army2's on army1 (``apply_pool``), so both may
     end the round defeated. Pools come from army1's round-pool cache (see
     the module docstring); a side is wiped out when its eligible count is 0.
+    The opening (both eligible groups and counts, and the cache) is taken
+    from army1's memo for ``model`` when it was computed at the counts the
+    trial starts from and army1 is still bound to ``army2.classes``, as on
+    every trial of a Monte Carlo block but its first; otherwise it is
+    computed, which raises ValueError for an empty army, and memoized.
+    Rebinding army1 to other defender classes (``ArmyState.bonus_targets``)
+    clears the memo.
 
     A lottery state is one after round 1 where each side's pool is below
     the health of every alive eligible target: each round there is one pick
@@ -334,11 +354,17 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     takes O(units**2) expected loop passes.
     """
     counts1, counts2 = army1.counts, army2.counts
-    group1, left1 = army1.eligible(model, counts1)
-    group2, left2 = army2.eligible(model, counts2)
-    if not left1 or not left2:
-        raise ValueError("both armies must start with at least one unit")
-    pools = army1._round_pools(army2, model)
+    opening = army1._openings.get(model)
+    if (opening is None or army1._against is not army2.classes
+            or opening[0] != counts1 or opening[1] != counts2):
+        group1, left1 = army1.eligible(model, counts1)
+        group2, left2 = army2.eligible(model, counts2)
+        if not left1 or not left2:
+            raise ValueError("both armies must start with at least one unit")
+        pools = army1._round_pools(army2, model)
+        army1._openings[model] = counts1[:], counts2[:], group1, left1, group2, left2, pools
+    else:
+        _, _, group1, left1, group2, left2, pools = opening
     draw = rng.random
     rounds = 0
     while True:
@@ -357,7 +383,7 @@ def run_trial(army1: ArmyState, army2: ArmyState,
                 raise StalemateError(f"no kill is possible in round {rounds}: no progress possible")
             # a kill chance below about 1e-308 can take the count past the
             # largest float; it then stays there
-            rounds += int(min(math.log(1.0 - draw()) / log_q, sys.float_info.max))
+            rounds += int(min(_log(1.0 - draw()) / log_q, _FLOAT_MAX))
             if draw() < share1:
                 group2, left2 = _lottery_kill(table1, draw() * kill1, army2, model, group2, left2)
                 side2 = draw() < kill2
@@ -370,4 +396,5 @@ def run_trial(army1: ArmyState, army2: ArmyState,
             group1, left1 = apply_pool(pool2, army1, model, group1, left1, draw)
         if not left1 or not left2:
             winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
-            return TrialOutcome(winner, tuple(counts1), tuple(counts2), rounds)
+            # the NamedTuple's own __new__ is a Python call; this builds the same record
+            return _tuple_new(TrialOutcome, (winner, tuple(counts1), tuple(counts2), rounds))

@@ -21,7 +21,7 @@ from sc2combat import (
     trial_rng,
 )
 
-from conftest import make_unit, three_sigma
+from conftest import make_unit, sha256, three_sigma
 from family_check import binomial_p, bonferroni_failures
 
 
@@ -512,6 +512,72 @@ class TestRunTrial:
         b = army((make_unit("b"), 1))
         with pytest.raises(ValueError):
             run_trial(a, b, ModelId.APX1, random.Random(0))
+
+
+class TestOpeningMemo:
+    """``run_trial`` reuses a trial's opening (both eligible groups and the
+    round-pool cache) from army1's per-model memo; whatever path a trial
+    takes, it must give what the same trial gives on brand-new states."""
+
+    # mixed battles whose trials skip many idle rounds: about 4-7 lottery
+    # kills and 15-27 rounds a trial
+    BATTLES = (
+        ((("zealot", 2), ("stalker", 2)), (("roach", 2), ("hydralisk", 2))),
+        ((("marine", 3), ("marauder", 2)), (("roach", 2), ("zergling", 3))),
+        ((("stalker", 3), ("sentry", 2)), (("roach", 3), ("zergling", 2))),
+    )
+    ROUNDS_DIGEST = "ff05bf1a27a8c9143247e14ba8fabbac0273540adb8c53cab40f3ce6b365efff"
+
+    @staticmethod
+    def fresh(state):
+        return ArmyState(list(zip(state.classes, state.counts)))
+
+    def test_rounds_pinned_on_either_path(self, catalog):
+        # 2,400 trials, once on new states each (the memo is empty, so every
+        # trial computes its opening) and once on one reused pair per battle
+        # and model (every trial but the first reuses it)
+        for reuse in (False, True):
+            lines = []
+            for k, (army1, army2) in enumerate(self.BATTLES):
+                for model in ModelId:
+                    a = ArmyState([(catalog[name], n) for name, n in army1])
+                    b = ArmyState([(catalog[name], n) for name, n in army2])
+                    rng = random.Random(4 * k + model.value)
+                    for _ in range(200):
+                        a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+                        pair = (a, b) if reuse else (self.fresh(a), self.fresh(b))
+                        winner, alive1, alive2, rounds = run_trial(*pair, model, rng)
+                        lines.append(f"{winner.value} {alive1} {alive2} {rounds}")
+            assert sha256("\n".join(lines)) == self.ROUNDS_DIGEST, reuse
+
+    def test_memo_is_reused_only_where_it_holds(self, catalog):
+        def memoize(a, b, model):  # a trial from the starting counts
+            a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+            run_trial(a, b, model, random.Random(0))
+            a.counts[:], b.counts[:] = a.initial_counts, b.initial_counts
+
+        def same_as_fresh(a, b, model, seed):
+            expected = run_trial(self.fresh(a), self.fresh(b), model, random.Random(seed))
+            assert run_trial(a, b, model, random.Random(seed)) == expected
+
+        # b and c have the same counts, so only the binding tells them apart
+        a = army((catalog["zealot"], 2), (catalog["stalker"], 3))
+        b = army((catalog["marine"], 3), (catalog["marauder"], 2))
+        c = army((catalog["zergling"], 3), (catalog["roach"], 2))
+        for seed in range(5):  # one trial may end alike either way; five do not
+            # not the counts the memo was taken at; a's are b's starting counts
+            for state, counts in ((a, b.initial_counts), (b, [1, 2])):
+                memoize(a, b, ModelId.APX4)
+                state.counts[:] = counts
+                same_as_fresh(a, b, ModelId.APX4, seed)
+            memoize(a, b, ModelId.APX4)
+            c.counts[:] = c.initial_counts
+            same_as_fresh(a, c, ModelId.APX4, seed)  # a is bound to b's classes
+            a.counts[:] = a.initial_counts
+            a.bonus_targets(b)  # binds a to b's classes again, with c's opening memoized
+            same_as_fresh(a, b, ModelId.APX4, seed)
+            memoize(a, b, ModelId.APX4)
+            same_as_fresh(a, b, ModelId.APX1, seed)  # the memo holds APX4's opening, not APX1's
 
 
 class TestArmyState:

@@ -213,18 +213,19 @@ class TestRunExperiment:
     def test_full_pool_cache_changes_no_result(self, catalog, monkeypatch):
         spec = ExperimentSpec(find_matchup(2, "PvZ"), ModelId.APX4, 200, 5)
         uncapped = run_experiment(spec, catalog)
-        sizes = []
+        caches = []
         original = engine.ArmyState._round_pools
 
         def recording(self, defender, model):
             pools = original(self, defender, model)
-            sizes.append(len(pools))
+            caches.append(pools)
             return pools
 
         monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", 3)
         monkeypatch.setattr(engine.ArmyState, "_round_pools", recording)
         assert run_experiment(spec, catalog) == uncapped
-        assert max(sizes) == 3  # the block filled its cache
+        assert max(map(len, caches)) == 3  # the block filled its cache
+        assert len(caches) == 1  # every trial but the first reused the opening
 
     def test_specs_share_no_round_pools(self, catalog):
         specs = [ExperimentSpec(find_matchup(1, "PvT"), model, 300, 9) for model in ModelId]
