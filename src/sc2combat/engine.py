@@ -20,28 +20,24 @@ The models are additive refinements:
 
 A round's two pools depend only on the alive counts of both armies and on
 whether it is the opening round, and the trials of one experiment replay
-many of the same rounds. So ``run_trial`` keeps the pools of each round it
-computes in a cache on army1's state, one per model, keyed by that exact
-battle state: the tuple ``(*counts1, *counts2, first)``, ``first`` being
-True in the opening round (each side's number of classes is fixed). A side
-is bound to one defender's classes at a time (``ArmyState.bonus_targets``);
-the binding holds its bonus rows and its caches, and another defender
-starts both afresh. An entry also holds the state's kill tables when it
-is a lottery state, a state where no pool can kill more than one unit and
-the trial skips the rounds that kill nothing (see ``run_trial``). The army
-states of a Monte Carlo block are built once and serve all its trials, so
-the block's trials share the cache. A hit returns the very floats a miss
-computes for that state, and a full cache (``_POOL_CACHE_ENTRIES``) keeps
-its entries and computes other rounds afresh, so results are bit-identical
-with or without it: every float operation and every random draw happens in
-the same order either way.
-
-A block's trials also share their opening: both sides' eligible groups
-and unit totals and the bound cache, which are the same for every trial
-that starts from the same counts. ``run_trial`` keeps the last one it
-computed on army1, one per model, with the counts it was taken at, and
-reuses it while both sides are at those counts and army1 stays bound to
-the same defender classes; another binding clears it with the caches.
+many of the same rounds. So ``run_trial`` keeps each round it computes in
+a cache on army1's state, one per model, keyed by that exact battle state:
+``(*counts1, *counts2, True)`` for an opening round and ``(*counts1,
+*counts2)`` for a later one (each side's number of classes is fixed). A
+side is bound to one defender's classes at a time
+(``ArmyState.bonus_targets``); the binding holds its bonus rows and its
+caches, and another defender starts both afresh. An opening entry also
+holds both sides' eligible groups and unit totals, so a trial that starts
+from cached counts, as every trial of a Monte Carlo block but its first
+does, sets up nothing. A later round's entry also holds the state's kill
+tables when it is a lottery state, a state where no pool can kill more
+than one unit and the trial skips the rounds that kill nothing (see
+``run_trial``). The army states of a Monte Carlo block are built once and
+serve all its trials, so the block's trials share the cache. A hit
+returns the very values a miss computes for that state, and a full cache
+(``_POOL_CACHE_ENTRIES``) keeps its entries and computes other rounds
+afresh, so results are bit-identical with or without it: every float
+operation and every random draw happens in the same order either way.
 
 A miss is cheaper where one side's counts repeat, as they do when a round
 kills only on the other side: each ``ArmyState`` keeps a side memo of its
@@ -121,7 +117,7 @@ class ArmyState:
 
     __slots__ = ("classes", "counts", "initial_counts", "eff_health", "eff_dps",
                  "eff_bonus_dps", "ranged", "melee", "indices", "_dps_sums",
-                 "_against", "_bonus_rows", "_pools", "_openings")
+                 "_against", "_bonus_rows", "_pools")
 
     def __init__(self, composition: Sequence[tuple[UnitClass, int]]):
         if any(not is_integer(count) or count < 0 for _, count in composition):
@@ -137,17 +133,17 @@ class ArmyState:
         self.indices: tuple[int, ...] = tuple(range(len(self.classes)))
         self._dps_sums: dict[tuple[int, ...], float] = {}  # see compute_pool
         self._against, self._bonus_rows, self._pools = None, (), {}  # see bonus_targets
-        self._openings: dict[ModelId, tuple] = {}  # see run_trial
 
     def bonus_targets(self, defender: "ArmyState") -> tuple[tuple, ...]:
         """The rows ``(i, js, bonus DPS of i, i is ranged)`` that ``bonus_pool``
         reads, one for each class ``i`` with bonus damage, ``js`` being the
         defender classes it gets bonus damage against. Built once per
         ``defender.classes`` object, so no attribute test runs per round. A
-        new ``defender.classes`` also starts new round-pool caches (see
-        ``_round_pools``): this one binding ties both to the opponent."""
+        new ``defender.classes`` also starts new round-pool caches, one per
+        model in ``_pools`` (see the module docstring): this one binding ties
+        both to the opponent."""
         if self._against is not defender.classes:
-            self._against, self._pools, self._openings = defender.classes, {}, {}
+            self._against, self._pools = defender.classes, {}
             self._bonus_rows = tuple(
                 (i, tuple(j for j, target in enumerate(defender.classes)
                           if not unit.bonus_vs.isdisjoint(target.attributes)),
@@ -165,13 +161,6 @@ class ArmyState:
             if alive:
                 return self.melee, alive
         return self.indices, sum(counts)
-
-    def _round_pools(self, defender: "ArmyState", model: ModelId) -> dict:
-        """The round-pool cache of this side against ``defender`` under
-        ``model`` (see the module docstring), one per model while this side
-        stays bound to ``defender.classes``: ``bonus_targets`` binds it."""
-        self.bonus_targets(defender)
-        return self._pools.setdefault(model, {})
 
     def survivors(self) -> tuple[int, ...]:
         return tuple(self.counts)
@@ -282,16 +271,17 @@ def _kill_odds(pool: float, defender: ArmyState, group: tuple[int, ...],
     return (kill, tuple(table)) if kill < 1.0 else None
 
 
-def _round_entry(army1: ArmyState, army2: ArmyState, model: ModelId, first: bool,
+def _round_entry(army1: ArmyState, army2: ArmyState, model: ModelId,
                  group1: tuple[int, ...], left1: int,
                  group2: tuple[int, ...], left2: int) -> tuple:
-    """One round-pool cache entry: both pools and, for a lottery state (see
-    ``run_trial``), ``(log q, share1, k1, table1, k2, table2)`` from
-    ``_kill_odds``, q being the chance the round kills nothing, else None;
-    ``share1 = k1 / (1 - q)``, so side 1 surely kills when k2 is 0."""
-    pool1 = compute_pool(army1, army2, model, first)
-    pool2 = compute_pool(army2, army1, model, first)
-    odds1 = None if first else _kill_odds(pool1, army2, group2, left2)
+    """The round-pool cache entry of a round after the first: both pools
+    and, for a lottery state (see ``run_trial``), ``(log q, share1, k1,
+    table1, k2, table2)`` from ``_kill_odds``, q being the chance the round
+    kills nothing, else None; ``share1 = k1 / (1 - q)``, so side 1 surely
+    kills when k2 is 0. The opening round's entry is built in ``run_trial``."""
+    pool1 = compute_pool(army1, army2, model, False)
+    pool2 = compute_pool(army2, army1, model, False)
+    odds1 = _kill_odds(pool1, army2, group2, left2)
     odds2 = odds1 and _kill_odds(pool2, army1, group1, left1)
     if not odds2:
         return pool1, pool2, None
@@ -323,15 +313,11 @@ def run_trial(army1: ArmyState, army2: ArmyState,
 
     Each round computes both pools from the start-of-round state, army1's
     pool is spent on army2 and army2's on army1 (``apply_pool``), so both may
-    end the round defeated. Pools come from army1's round-pool cache (see
-    the module docstring); a side is wiped out when its eligible count is 0.
-    The opening (both eligible groups and counts, and the cache) is taken
-    from army1's memo for ``model`` when it was computed at the counts the
-    trial starts from and army1 is still bound to ``army2.classes``, as on
-    every trial of a Monte Carlo block but its first; otherwise it is
-    computed, which raises ValueError for an empty army, and memoized.
-    Rebinding army1 to other defender classes (``ArmyState.bonus_targets``)
-    clears the memo.
+    end the round defeated. Pools come from army1's round-pool cache for
+    ``model``, bound to ``army2.classes`` (see the module docstring); a side
+    is wiped out when its eligible count is 0. The opening round's entry
+    also holds both sides' eligible groups and unit totals; computing it
+    raises ValueError for an empty army.
 
     A lottery state is one after round 1 where each side's pool is below
     the health of every alive eligible target: each round there is one pick
@@ -354,26 +340,30 @@ def run_trial(army1: ArmyState, army2: ArmyState,
     takes O(units**2) expected loop passes.
     """
     counts1, counts2 = army1.counts, army2.counts
-    opening = army1._openings.get(model)
-    if (opening is None or army1._against is not army2.classes
-            or opening[0] != counts1 or opening[1] != counts2):
+    army1.bonus_targets(army2)
+    pools = army1._pools.setdefault(model, {})
+    key = (*counts1, *counts2, True)
+    opening = pools.get(key)
+    if opening is None:
         group1, left1 = army1.eligible(model, counts1)
         group2, left2 = army2.eligible(model, counts2)
         if not left1 or not left2:
             raise ValueError("both armies must start with at least one unit")
-        pools = army1._round_pools(army2, model)
-        army1._openings[model] = counts1[:], counts2[:], group1, left1, group2, left2, pools
-    else:
-        _, _, group1, left1, group2, left2, pools = opening
+        opening = (compute_pool(army1, army2, model, True), compute_pool(army2, army1, model, True),
+                   group1, left1, group2, left2)
+        if len(pools) < _POOL_CACHE_ENTRIES:
+            pools[key] = opening
+    pool1, pool2, group1, left1, group2, left2 = opening
     draw = rng.random
-    rounds = 0
-    while True:
+    group2, left2 = apply_pool(pool1, army2, model, group2, left2, draw)
+    group1, left1 = apply_pool(pool2, army1, model, group1, left1, draw)
+    rounds = 1
+    while left1 and left2:
         rounds += 1
-        first = rounds == 1
-        key = (*counts1, *counts2, first)
+        key = (*counts1, *counts2)
         entry = pools.get(key)
         if entry is None:
-            entry = _round_entry(army1, army2, model, first, group1, left1, group2, left2)
+            entry = _round_entry(army1, army2, model, group1, left1, group2, left2)
             if len(pools) < _POOL_CACHE_ENTRIES:
                 pools[key] = entry
         pool1, pool2, lottery = entry
@@ -394,7 +384,6 @@ def run_trial(army1: ArmyState, army2: ArmyState,
         else:
             group2, left2 = apply_pool(pool1, army2, model, group2, left2, draw)
             group1, left1 = apply_pool(pool2, army1, model, group1, left1, draw)
-        if not left1 or not left2:
-            winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
-            # the NamedTuple's own __new__ is a Python call; this builds the same record
-            return _tuple_new(TrialOutcome, (winner, tuple(counts1), tuple(counts2), rounds))
+    winner = Winner.ARMY1 if left1 else Winner.ARMY2 if left2 else Winner.DRAW
+    # the NamedTuple's own __new__ is a Python call; this builds the same record
+    return _tuple_new(TrialOutcome, (winner, tuple(counts1), tuple(counts2), rounds))

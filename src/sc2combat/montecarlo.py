@@ -7,7 +7,8 @@ taken mod 2**64), read as a little-endian integer. The trials of a chunk
 draw from it one after another, in index order. One loop runs every trial:
 it counts the terminal outcomes of a block of trials, which starts on a
 chunk boundary and shares one pair of army states and with them the
-engine's cache of round pools and memo of trial openings.
+engine's cache of round pools, whose opening entry every trial but the
+block's first starts from.
 ``run_experiments`` deals its blocks, one per spec unless there are fewer
 specs than workers, into shares of about equal estimated cost. With more
 than one worker, the calling process forks one child per share but its
@@ -139,7 +140,7 @@ def _count_outcomes(comp1: Resolved, comp2: Resolved, model: ModelId, master_see
     trials ``start:stop``, with None counting stalemates. ``start`` must be
     on a chunk boundary; each chunk's stream serves its trials in order.
     Both army states are built once and reset in place before each trial,
-    so all the block's trials share their round-pool cache and opening."""
+    so all the block's trials share their round-pool cache."""
     if start % CHUNK:
         raise ValueError(f"a block must start on a {CHUNK}-trial chunk boundary, got {start}")
     army1, army2 = ArmyState(comp1), ArmyState(comp2)

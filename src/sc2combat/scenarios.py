@@ -56,6 +56,11 @@ class MatchupSpec(NamedTuple):
             for unit_name, count in army:
                 if reason := count_problem(f"{side} count for {quoted(unit_name)}", count):
                     raise ScenarioError(reason)
+            try:  # the engine's pools and draws scale the total as a float
+                float(sum(count for _, count in army))
+            except OverflowError:
+                raise ScenarioError(f"{side} has too many units: "
+                                    "their total must convert to a float") from None
         if self.pairing is not None and self.pairing not in PAIRINGS:
             raise ScenarioError(f"unknown pairing: {self.pairing!r}")
         if self.round is not None and self.round not in ROUNDS:

@@ -180,7 +180,11 @@ class TestMalformedInput:
         (SCENARIO + "name: 2001-13-45\n", "scenario, line 11: " + REFUSED.format("2001-13-45")),
         (SCENARIO.replace("trials: 50", "trials: 50 60"),
          "scenario, line 9: outside the YAML subset sc2combat reads: unexpected '60'"),
-    ], ids=["list-document", "army1-list", "int-and-str-keys", "impossible-date", "two-scalars"])
+        # each count converts to a float (1e308), the total does not
+        ("army1: {zealot: 2}\narmy2: {marine: 1" + "0" * 308 + ", marauder: 1" + "0" * 308 + "}\n",
+         "army2 has too many units: their total must convert to a float"),
+    ], ids=["list-document", "army1-list", "int-and-str-keys", "impossible-date", "two-scalars",
+            "army-total-overflows-float"])
     def test_bad_scenario(self, capsys, tmp_path, text, message):
         path = tmp_path / "battle.yaml"
         path.write_text(text)

@@ -164,11 +164,6 @@ class TestBonusPool:
         defenders = army((make_unit("d", attrs=("light",)), 4))
         assert bonus_pool(plain, defenders, ranged_only=False) == 0.0
 
-    def test_fully_vulnerable_gives_full_bonus(self):
-        attacker = army((make_unit("a", dps=1.0, bonus=3.0, bonus_vs=("light",)), 2))
-        defenders = army((make_unit("d", attrs=("light", "biological")), 3))
-        assert bonus_pool(attacker, defenders, ranged_only=False) == pytest.approx(6.0)
-
     def test_ranged_only_excludes_melee_bonus(self):
         melee = make_unit("m", dps=1.0, bonus=3.0, bonus_vs=("light",), ranged=False)
         shooter = make_unit("s", dps=1.0, bonus=2.0, bonus_vs=("light",), ranged=True)
@@ -476,7 +471,7 @@ class TestRunTrial:
         monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", cap)
         for model in (*ModelId, ModelId.APX1):  # one state pair for every model
             assert trials(a, b, model, fresh=False) == expected[model]
-            size = len(a._round_pools(b, model))
+            size = len(a._pools[model])
             assert size == entries if entries is not None else 3 < size <= cap
         # the state pair played the other way round keeps its own cache
         assert trials(b, a, ModelId.APX4, fresh=False) == trials(b, a, ModelId.APX4, fresh=True)
@@ -515,9 +510,10 @@ class TestRunTrial:
 
 
 class TestOpeningMemo:
-    """``run_trial`` reuses a trial's opening (both eligible groups and the
-    round-pool cache) from army1's per-model memo; whatever path a trial
-    takes, it must give what the same trial gives on brand-new states."""
+    """``run_trial`` reuses a trial's opening (both pools, eligible groups
+    and unit totals) from the opening entry of army1's round-pool cache;
+    whatever path a trial takes, it must give what the same trial gives on
+    brand-new states."""
 
     # mixed battles whose trials skip many idle rounds: about 4-7 lottery
     # kills and 15-27 rounds a trial

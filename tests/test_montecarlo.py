@@ -213,19 +213,21 @@ class TestRunExperiment:
     def test_full_pool_cache_changes_no_result(self, catalog, monkeypatch):
         spec = ExperimentSpec(find_matchup(2, "PvZ"), ModelId.APX4, 200, 5)
         uncapped = run_experiment(spec, catalog)
-        caches = []
-        original = engine.ArmyState._round_pools
+        calls = []
+        original = engine.compute_pool
 
-        def recording(self, defender, model):
-            pools = original(self, defender, model)
-            caches.append(pools)
-            return pools
+        def recording(attacker, defender, model, is_first_round):
+            calls.append((attacker, is_first_round))
+            return original(attacker, defender, model, is_first_round)
 
         monkeypatch.setattr(engine, "_POOL_CACHE_ENTRIES", 3)
-        monkeypatch.setattr(engine.ArmyState, "_round_pools", recording)
+        monkeypatch.setattr(engine, "compute_pool", recording)
         assert run_experiment(spec, catalog) == uncapped
-        assert max(map(len, caches)) == 3  # the block filled its cache
-        assert len(caches) == 1  # every trial but the first reused the opening
+        army1 = calls[0][0]
+        assert len(army1._pools[ModelId.APX4]) == 3  # the block filled its cache
+        # one opening round computed, one pool a side: every trial but the
+        # first reused the opening
+        assert sum(first for _, first in calls) == 2
 
     def test_specs_share_no_round_pools(self, catalog):
         specs = [ExperimentSpec(find_matchup(1, "PvT"), model, 300, 9) for model in ModelId]
